@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"polyprof/internal/core"
+	"polyprof/internal/obs"
 	"polyprof/internal/trace"
 	"polyprof/internal/workloads"
 
@@ -107,4 +108,34 @@ func (c *countingSink) OnInstr(ctx string, coords []int64, ev trace.InstrEvent, 
 	if len(coords) > c.maxDepth {
 		c.maxDepth = len(coords)
 	}
+}
+
+// TestFitterPathCounters profiles srad_v2 twice and checks the fold
+// fitter's per-path sample counters: they repeat exactly, and every
+// sample the fitters were fed is counted on exactly one path.
+func TestFitterPathCounters(t *testing.T) {
+	prog := workloads.ByName("srad_v2").Build()
+	paths := []string{"fold.fitter.samples.solved", "fold.fitter.samples.int64", "fold.fitter.samples.wide"}
+	var runs [2][3]uint64
+	for i := range runs {
+		reg := obs.NewRegistry()
+		reg.SetEnabled(true)
+		opts := core.DefaultRunOptions()
+		opts.Obs = reg.Scope()
+		if _, err := core.Run(prog, opts); err != nil {
+			t.Fatal(err)
+		}
+		var sum uint64
+		for j, name := range paths {
+			runs[i][j] = reg.Counter(name).Value()
+			sum += runs[i][j]
+		}
+		if total := reg.Counter("fold.fitter.samples").Value(); sum != total || total == 0 {
+			t.Errorf("run %d: path counts %v sum to %d, want the %d samples fed", i, runs[i], sum, total)
+		}
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("path counts differ between runs: %v vs %v", runs[0], runs[1])
+	}
+	t.Logf("srad_v2 fitter samples: solved=%d int64=%d wide=%d", runs[0][0], runs[0][1], runs[0][2])
 }

@@ -11,32 +11,65 @@
 package fold
 
 import (
+	"math"
 	"math/big"
+	"math/bits"
 
 	"polyprof/internal/poly"
 )
 
 // Fitter incrementally decides whether a stream of samples (x, y) with
-// x in Z^m lies on an affine function y = c·x + k, using exact rational
-// Gaussian elimination.  Adding samples is cheap once the function is
-// determined (integer evaluation); before that, each independent sample
-// extends a reduced basis.
+// x in Z^m lies on an affine function y = c·x + k, by exact
+// fraction-free Gaussian elimination over the integers.  Adding samples
+// is cheap once the function is determined (integer evaluation); before
+// that, each sample is reduced against a basis of the independent
+// samples seen so far, and an independent sample extends the basis.
+//
+// The basis is kept in overflow-checked int64 arithmetic.  A fitter
+// whose numbers outgrow int64 is promoted, for the rest of its life, to
+// the same elimination over big.Int.  Both widths hold the same exact
+// basis, so the width never changes a decision.
 type Fitter struct {
 	m      int
 	failed bool
 
-	// rows is the reduced basis of sample equations over the m+1
-	// unknown coefficients (m variable coefficients plus the constant).
-	// Each row has m+2 rational entries: the coefficient columns and
-	// the right-hand side.
-	rows [][]*big.Rat
-	// pivot[i] is the pivot column of rows[i].
-	pivot []int
+	// The basis holds rank = len(pivot) rows: sample equations over the
+	// m+1 unknown coefficients (m variable coefficients plus the
+	// constant).  Each row has m+2 integer entries, the coefficient
+	// columns and then the right-hand side.  Rows are in reduced
+	// row-echelon form (a row is zero in every other row's pivot
+	// column), and every row is primitive (its entries share no common
+	// factor) with a positive pivot entry.  A row is thus the unique
+	// integer representative of the rational row the same elimination
+	// over Q would hold, which keeps the basis independent of the width
+	// and of checkpoint round trips.
+	pivot []int // pivot[i] is the pivot column of row i
+
+	// mat is the int64 basis, m+2 rows of m+2 entries: basis rows
+	// 0..rank-1, then row rank as the scratch row a sample is reduced
+	// in (an independent sample is already in place to join the basis),
+	// and row m+1 as staging for back-elimination.  nil before the
+	// first sample that needs elimination, and after promotion.
+	mat []int64
+	// wide replaces mat after promotion, with the same row layout.
+	wide [][]*big.Int
+	// checked is set while the scratch row holds the int64 reduction
+	// (pivot column checkLead) of the sample the last Check tested,
+	// which Check also copies into row m+1.  MultiFolder checks a point
+	// against a piece right before adding it there, and that Add picks
+	// the reduction up instead of redoing it.
+	checked   bool
+	checkLead int
 
 	// solved is the integer affine function once determined ("decided"
-	// the moment the basis reaches full rank or Solve is called).
+	// the moment the basis reaches full rank).
 	solved   *poly.Expr
 	nSamples int
+
+	// Samples fed by this process, split by the path that decided them
+	// (evaluation of the solved function, int64 or big.Int
+	// elimination).  Work counters for metrics, not checkpointed.
+	nSolved, nInt64, nWide int
 }
 
 // NewFitter creates a fitter for x in Z^m.
@@ -58,97 +91,380 @@ func (f *Fitter) Add(x []int64, y int64) bool {
 		return false
 	}
 	f.nSamples++
+	checked := f.checked
+	f.checked = false
 	if f.solved != nil {
+		f.nSolved++
 		if f.solved.Eval(x) != y {
 			f.fail()
 		}
 		return !f.failed
 	}
-	// Build the equation row [x..., 1 | y].
-	row := make([]*big.Rat, f.m+2)
-	for i := 0; i < f.m; i++ {
-		row[i] = new(big.Rat).SetInt64(x[i])
-	}
-	row[f.m] = new(big.Rat).SetInt64(1)
-	row[f.m+1] = new(big.Rat).SetInt64(y)
-
-	f.reduce(row)
-	lead := f.leadCol(row)
-	switch {
-	case lead == -1:
-		if row[f.m+1].Sign() != 0 {
-			// 0 = nonzero: inconsistent, not affine.
-			f.fail()
+	var lead int
+	if f.wide != nil {
+		lead = f.reduceWide(x, y)
+	} else {
+		ok := checked && f.isChecked(x, y)
+		if ok {
+			lead = f.checkLead
+		} else {
+			lead, ok = f.reduce64(x, y)
 		}
-		// Otherwise the row vanished entirely: redundant sample.
-	default:
-		f.insertRow(row, lead)
-		if len(f.rows) == f.m+1 {
-			// Full rank: the function is uniquely determined.
-			f.trySolve()
+		if ok && f.extend64(lead) {
+			f.nInt64++
+			return !f.failed
 		}
+		f.promote()
+		if !ok {
+			lead = f.reduceWide(x, y)
+		}
+		// Otherwise back-elimination overflowed part-way: the reduced
+		// sample sits in row rank and the rows already eliminated
+		// against it are final, so the insertion resumes wide.
 	}
+	f.nWide++
+	f.extendWide(lead)
 	return !f.failed
 }
 
-// pivotOrder visits the constant column first so underdetermined
-// streams solve to the "most constant" integral function (a stream that
-// never varied a coordinate fits as a constant rather than as a
-// fractional multiple of that coordinate).
-func (f *Fitter) pivotOrder(i int) int {
+// Check reports whether the sample is consistent with the fitter's
+// current state without changing what it has learned: an
+// already-determined function must evaluate to y; an undetermined basis
+// must not reduce the sample to a contradiction (rank extension is
+// consistent).
+func (f *Fitter) Check(x []int64, y int64) bool {
+	if f.failed {
+		return false
+	}
+	if f.solved != nil {
+		return f.solved.Eval(x) == y
+	}
+	if f.wide == nil {
+		if lead, ok := f.reduce64(x, y); ok {
+			c := f.row64(f.m + 1)
+			copy(c, x[:f.m])
+			c[f.m] = y
+			f.checked, f.checkLead = true, lead
+			return lead >= 0 || f.row64(len(f.pivot))[f.m+1] == 0
+		}
+		f.promote()
+	}
+	return f.reduceWide(x, y) >= 0 || f.wide[len(f.pivot)][f.m+1].Sign() == 0
+}
+
+// pivotCol is the column tried i-th when choosing a new row's pivot.
+// The constant column comes first so underdetermined streams solve to
+// the "most constant" integral function (a stream that never varied a
+// coordinate fits as a constant rather than as a fractional multiple of
+// that coordinate).
+func pivotCol(m, i int) int {
 	if i == 0 {
-		return f.m
+		return m
 	}
 	return i - 1
 }
 
+// isChecked reports whether (x, y) is the sample the last Check stored.
+func (f *Fitter) isChecked(x []int64, y int64) bool {
+	c := f.row64(f.m + 1)
+	for i := 0; i < f.m; i++ {
+		if c[i] != x[i] {
+			return false
+		}
+	}
+	return c[f.m] == y
+}
+
 func (f *Fitter) fail() {
 	f.failed = true
-	f.rows = nil
+	f.clearBasis()
 	f.solved = nil
 }
 
-// reduce eliminates the row against the current basis.
-func (f *Fitter) reduce(row []*big.Rat) {
-	for i, r := range f.rows {
-		p := f.pivot[i]
-		if row[p].Sign() == 0 {
+func (f *Fitter) clearBasis() {
+	f.pivot, f.mat, f.wide = nil, nil, nil
+}
+
+func (f *Fitter) row64(i int) []int64 {
+	w := f.m + 2
+	return f.mat[i*w : (i+1)*w]
+}
+
+// reduce64 loads the sample equation [x..., 1 | y] into the scratch row
+// and eliminates the basis pivots from it; it returns the reduced row's
+// pivot column (-1 when every coefficient column vanished) and false on
+// int64 overflow.
+func (f *Fitter) reduce64(x []int64, y int64) (int, bool) {
+	if f.mat == nil {
+		f.mat = make([]int64, (f.m+2)*(f.m+2))
+		f.pivot = make([]int, 0, f.m+1)
+	}
+	v := f.row64(len(f.pivot))
+	for i := 0; i < f.m; i++ {
+		v[i] = x[i]
+	}
+	v[f.m] = 1
+	v[f.m+1] = y
+	if !inRange64(v) {
+		return -1, false
+	}
+	for i, p := range f.pivot {
+		b := v[p]
+		if b == 0 {
 			continue
 		}
-		factor := new(big.Rat).Quo(row[p], r[p])
-		for j := 0; j < len(row); j++ {
-			row[j] = new(big.Rat).Sub(row[j], new(big.Rat).Mul(factor, r[j]))
+		r := f.row64(i)
+		a := r[p]
+		if a != 1 {
+			g := gcd64(a, abs64(b))
+			a, b = a/g, b/g
 		}
+		if !combine64(v, a, v, b, r) {
+			return -1, false
+		}
+	}
+	return f.leadCol64(v), true
+}
+
+// extend64 acts on the reduced scratch row: a vanished row is redundant
+// or (with a nonzero right-hand side) a contradiction; otherwise the row
+// joins the basis and is back-eliminated from the existing rows.  It
+// returns false on int64 overflow, with every row it has already
+// updated in its final form.
+func (f *Fitter) extend64(lead int) bool {
+	v := f.row64(len(f.pivot))
+	if lead < 0 {
+		if v[f.m+1] != 0 {
+			f.fail()
+		}
+		return true
+	}
+	normalize64(v, lead)
+	t := f.row64(f.m + 1)
+	for i, p := range f.pivot {
+		r := f.row64(i)
+		b := r[lead]
+		if b == 0 {
+			continue
+		}
+		a := v[lead]
+		if g := gcd64(a, abs64(b)); g != 1 {
+			a, b = a/g, b/g
+		}
+		if !combine64(t, a, r, b, v) {
+			return false
+		}
+		normalize64(t, p)
+		copy(r, t)
+	}
+	f.push(lead)
+	return true
+}
+
+// push makes the scratch row a basis row pivoting on lead, and decides
+// the function once the basis reaches full rank.
+func (f *Fitter) push(lead int) {
+	f.pivot = append(f.pivot, lead)
+	if len(f.pivot) == f.m+1 {
+		f.trySolve()
 	}
 }
 
-// leadCol returns the pivot column of the reduced row (constant column
-// preferred), or -1 when no coefficient column is nonzero.
-func (f *Fitter) leadCol(row []*big.Rat) int {
+func (f *Fitter) leadCol64(v []int64) int {
 	for i := 0; i <= f.m; i++ {
-		j := f.pivotOrder(i)
-		if row[j].Sign() != 0 {
+		if j := pivotCol(f.m, i); v[j] != 0 {
 			return j
 		}
 	}
 	return -1
 }
 
-// insertRow adds the reduced row to the basis and back-eliminates it
-// from existing rows to keep reduced row-echelon form.
-func (f *Fitter) insertRow(row []*big.Rat, lead int) {
-	for i, r := range f.rows {
+// inRange64 reports whether every entry avoids math.MinInt64.  The int64
+// basis keeps its entries in the symmetric range (-2^63, 2^63), so
+// negation and absolute values never overflow.
+func inRange64(v []int64) bool {
+	for _, e := range v {
+		if e == math.MinInt64 {
+			return false
+		}
+	}
+	return true
+}
+
+// combine64 sets dst = a·u − b·v entrywise (dst may alias u) and reports
+// false if any product or difference leaves (-2^63, 2^63).  a > 0.
+func combine64(dst []int64, a int64, u []int64, b int64, v []int64) bool {
+	// When both products fit in 62 bits for every entry, so does their
+	// difference, and the loop needs no per-entry checks.
+	var mu, mv uint64
+	for j := range dst {
+		mu |= uint64(abs64(u[j]))
+		mv |= uint64(abs64(v[j]))
+	}
+	if bits.Len64(uint64(a))+bits.Len64(mu) <= 62 && bits.Len64(uint64(abs64(b)))+bits.Len64(mv) <= 62 {
+		for j := range dst {
+			dst[j] = a*u[j] - b*v[j]
+		}
+		return true
+	}
+	for j := range dst {
+		p, ok := mul64(a, u[j])
+		if !ok {
+			return false
+		}
+		q, ok := mul64(b, v[j])
+		if !ok {
+			return false
+		}
+		d := p - q
+		if (p^q)&(p^d) < 0 || d == math.MinInt64 {
+			return false
+		}
+		dst[j] = d
+	}
+	return true
+}
+
+// mul64 returns a·b and whether it lies in (-2^63, 2^63).
+func mul64(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(abs64(a)), uint64(abs64(b)))
+	if hi != 0 || lo > math.MaxInt64 {
+		return 0, false
+	}
+	if (a < 0) != (b < 0) {
+		return -int64(lo), true
+	}
+	return int64(lo), true
+}
+
+func abs64(a int64) int64 {
+	if a < 0 {
+		return -a
+	}
+	return a
+}
+
+// gcd64 returns gcd(a, b) for a, b >= 0, not both zero.
+func gcd64(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// normalize64 divides the row by the gcd of its entries and makes the
+// pivot entry positive.
+func normalize64(v []int64, pivot int) {
+	var g int64
+	for _, e := range v {
+		if e != 0 {
+			g = gcd64(abs64(e), g)
+		}
+	}
+	if v[pivot] < 0 {
+		g = -g
+	}
+	if g != 1 {
+		for j := range v {
+			v[j] /= g
+		}
+	}
+}
+
+// promote moves the basis (and the scratch row) from int64 to big.Int.
+func (f *Fitter) promote() {
+	w := f.m + 2
+	f.wide = make([][]*big.Int, f.m+2)
+	for i := range f.wide {
+		row := make([]*big.Int, w)
+		for j := range row {
+			row[j] = big.NewInt(f.mat[i*w+j])
+		}
+		f.wide[i] = row
+	}
+	f.mat = nil
+}
+
+// reduceWide is reduce64 over big.Int.
+func (f *Fitter) reduceWide(x []int64, y int64) int {
+	v := f.wide[len(f.pivot)]
+	for i := 0; i < f.m; i++ {
+		v[i].SetInt64(x[i])
+	}
+	v[f.m].SetInt64(1)
+	v[f.m+1].SetInt64(y)
+	var a, b, t big.Int
+	for i, p := range f.pivot {
+		if v[p].Sign() == 0 {
+			continue
+		}
+		r := f.wide[i]
+		coprime(&a, &b, r[p], v[p])
+		combineWide(v, &a, v, &b, r, &t)
+	}
+	for i := 0; i <= f.m; i++ {
+		if j := pivotCol(f.m, i); v[j].Sign() != 0 {
+			return j
+		}
+	}
+	return -1
+}
+
+// extendWide is extend64 over big.Int, which cannot overflow.
+func (f *Fitter) extendWide(lead int) {
+	v := f.wide[len(f.pivot)]
+	if lead < 0 {
+		if v[f.m+1].Sign() != 0 {
+			f.fail()
+		}
+		return
+	}
+	normalizeWide(v, lead)
+	var a, b, t big.Int
+	for i, p := range f.pivot {
+		r := f.wide[i]
 		if r[lead].Sign() == 0 {
 			continue
 		}
-		factor := new(big.Rat).Quo(r[lead], row[lead])
-		for j := 0; j < len(r); j++ {
-			r[j] = new(big.Rat).Sub(r[j], new(big.Rat).Mul(factor, row[j]))
-		}
-		f.rows[i] = r
+		coprime(&a, &b, v[lead], r[lead])
+		combineWide(r, &a, r, &b, v, &t)
+		normalizeWide(r, p)
 	}
-	f.rows = append(f.rows, row)
-	f.pivot = append(f.pivot, lead)
+	f.push(lead)
+}
+
+// coprime sets a, b to x, y divided by their gcd.
+func coprime(a, b, x, y *big.Int) {
+	var g big.Int
+	g.GCD(nil, nil, x, y)
+	a.Quo(x, &g)
+	b.Quo(y, &g)
+}
+
+// combineWide sets dst = a·u − b·v entrywise (dst may alias u), using t
+// as a temporary.
+func combineWide(dst []*big.Int, a *big.Int, u []*big.Int, b *big.Int, v []*big.Int, t *big.Int) {
+	for j := range dst {
+		t.Mul(b, v[j])
+		dst[j].Mul(a, u[j])
+		dst[j].Sub(dst[j], t)
+	}
+}
+
+// normalizeWide is normalize64 over big.Int.
+func normalizeWide(v []*big.Int, pivot int) {
+	var g big.Int
+	for _, e := range v {
+		g.GCD(nil, nil, &g, e)
+	}
+	if v[pivot].Sign() < 0 {
+		g.Neg(&g)
+	}
+	if !g.IsInt64() || g.Int64() != 1 {
+		for _, e := range v {
+			e.Quo(e, &g)
+		}
+	}
 }
 
 // trySolve extracts the unique solution and checks integrality.
@@ -159,35 +475,39 @@ func (f *Fitter) trySolve() {
 		return
 	}
 	f.solved = &e
-	f.rows, f.pivot = nil, nil
+	f.clearBasis()
 }
 
 // solveExpr solves the current (possibly underdetermined) system with
 // free coefficients set to zero; returns false when the solution is not
-// integral.
+// integral.  In reduced row-echelon form row i reads
+// r[p]·c_p + sum over free columns j of r[j]·c_j = rhs, so with the free
+// coefficients at zero c_p = rhs / r[p].
 func (f *Fitter) solveExpr() (poly.Expr, bool) {
-	coeffs := make([]*big.Rat, f.m+1)
-	for i := range coeffs {
-		coeffs[i] = new(big.Rat)
-	}
-	for i, r := range f.rows {
-		// Rows are in reduced row-echelon form:
-		// r[p]*c_p + sum over free columns j of r[j]*c_j = rhs.
-		// With free coefficients fixed at zero, c_p = rhs / r[p].
-		p := f.pivot[i]
-		val := new(big.Rat).Set(r[f.m+1])
-		coeffs[p] = val.Quo(val, r[p])
-	}
 	e := poly.NewExpr(f.m)
-	for i := 0; i <= f.m; i++ {
-		if !coeffs[i].IsInt() {
-			return poly.Expr{}, false
-		}
-		v := coeffs[i].Num().Int64()
-		if i == f.m {
-			e.K = v
+	var q, rem big.Int
+	for i, p := range f.pivot {
+		var c int64
+		if f.wide != nil {
+			r := f.wide[i]
+			q.QuoRem(r[f.m+1], r[p], &rem)
+			if rem.Sign() != 0 {
+				return poly.Expr{}, false
+			}
+			// A coefficient beyond int64 keeps its low 64 bits, as in
+			// the rational reference fitter.
+			c = q.Int64()
 		} else {
-			e.C[i] = v
+			r := f.row64(i)
+			if r[f.m+1]%r[p] != 0 {
+				return poly.Expr{}, false
+			}
+			c = r[f.m+1] / r[p]
+		}
+		if p == f.m {
+			e.K = c
+		} else {
+			e.C[p] = c
 		}
 	}
 	return e, true

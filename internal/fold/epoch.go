@@ -4,8 +4,8 @@
 // (epoch checkpoints persist folders through the jobstore WAL and
 // restore them bit-identically on resume).
 //
-// The state format is JSON-friendly: big.Rat basis rows serialize as
-// "num/den" strings, everything else is plain integers.  Restore is the
+// The state format is JSON-friendly: fitter basis rows serialize as
+// decimal strings, everything else is plain integers.  Restore is the
 // exact inverse of State — a restored folder continues the stream as if
 // it had never stopped, which is what makes resumed reports
 // byte-identical to uninterrupted ones.
@@ -13,7 +13,10 @@ package fold
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"strconv"
+	"strings"
 
 	"polyprof/internal/faultinject"
 	"polyprof/internal/poly"
@@ -29,23 +32,27 @@ var epochMergeFault = faultinject.Point("fold.epoch.merge")
 // Clone returns a deep copy of the fitter; the copy and the original
 // evolve independently.
 func (f *Fitter) Clone() *Fitter {
-	c := &Fitter{m: f.m, failed: f.failed, nSamples: f.nSamples}
+	c := *f
 	if f.solved != nil {
 		e := f.solved.Clone()
 		c.solved = &e
 	}
-	if f.rows != nil {
-		c.rows = make([][]*big.Rat, len(f.rows))
-		for i, r := range f.rows {
-			row := make([]*big.Rat, len(r))
-			for j, v := range r {
-				row[j] = new(big.Rat).Set(v)
-			}
-			c.rows[i] = row
-		}
-		c.pivot = append([]int(nil), f.pivot...)
+	if f.pivot != nil {
+		c.pivot = append(make([]int, 0, f.m+1), f.pivot...)
 	}
-	return c
+	if f.mat != nil {
+		c.mat = append([]int64(nil), f.mat...)
+	}
+	if f.wide != nil {
+		c.wide = make([][]*big.Int, len(f.wide))
+		for i, r := range f.wide {
+			c.wide[i] = make([]*big.Int, len(r))
+			for j, v := range r {
+				c.wide[i][j] = new(big.Int).Set(v)
+			}
+		}
+	}
+	return &c
 }
 
 // Clone returns a deep copy of the folder (fresh ownership guard; the
@@ -109,8 +116,9 @@ func (m *MultiFolder) Clone() *MultiFolder {
 }
 
 // FitterState is the serializable form of a Fitter.  Basis rows are
-// exact rationals rendered as "num/den" strings (big.Rat has no JSON
-// representation of its own).
+// exact integers rendered as decimal strings, so rows of any width
+// serialize the same way.  Checkpoints written by the earlier rational
+// fitter hold "num/den" strings instead; RestoreFitter accepts both.
 type FitterState struct {
 	M        int        `json:"m"`
 	Failed   bool       `json:"failed,omitempty"`
@@ -127,12 +135,16 @@ func (f *Fitter) State() FitterState {
 		e := f.solved.Clone()
 		s.Solved = &e
 	}
-	if f.rows != nil {
-		s.Rows = make([][]string, len(f.rows))
-		for i, r := range f.rows {
-			row := make([]string, len(r))
-			for j, v := range r {
-				row[j] = v.RatString()
+	if len(f.pivot) > 0 {
+		s.Rows = make([][]string, len(f.pivot))
+		for i := range s.Rows {
+			row := make([]string, f.m+2)
+			for j := range row {
+				if f.wide != nil {
+					row[j] = f.wide[i][j].String()
+				} else {
+					row[j] = strconv.FormatInt(f.row64(i)[j], 10)
+				}
 			}
 			s.Rows[i] = row
 		}
@@ -141,29 +153,89 @@ func (f *Fitter) State() FitterState {
 	return s
 }
 
-// RestoreFitter rebuilds a fitter from its checkpointed state.
+// RestoreFitter rebuilds a fitter from its checkpointed state.  Each
+// row is parsed as rationals, cleared of denominators by their LCM and
+// reduced to its primitive form, which maps a rational fitter's basis
+// onto the very rows the integer fitter would have built.
 func RestoreFitter(s FitterState) (*Fitter, error) {
 	f := &Fitter{m: s.M, failed: s.Failed, nSamples: s.NSamples}
 	if s.Solved != nil {
 		e := s.Solved.Clone()
 		f.solved = &e
 	}
-	if s.Rows != nil {
-		f.rows = make([][]*big.Rat, len(s.Rows))
-		for i, r := range s.Rows {
-			row := make([]*big.Rat, len(r))
-			for j, v := range r {
-				rat, ok := new(big.Rat).SetString(v)
-				if !ok {
-					return nil, fmt.Errorf("fold: bad rational %q in fitter state", v)
-				}
-				row[j] = rat
-			}
-			f.rows[i] = row
+	if len(s.Rows) == 0 {
+		return f, nil
+	}
+	if s.M < 0 || len(s.Rows) > s.M || len(s.Pivot) != len(s.Rows) {
+		return nil, fmt.Errorf("fold: fitter state has %d rows and %d pivots for m=%d", len(s.Rows), len(s.Pivot), s.M)
+	}
+	w := s.M + 2
+	wide := make([][]*big.Int, w)
+	fits := true
+	for i := range wide {
+		row := make([]*big.Int, w)
+		for j := range row {
+			row[j] = new(big.Int)
 		}
-		f.pivot = append([]int(nil), s.Pivot...)
+		wide[i] = row
+		if i >= len(s.Rows) {
+			continue
+		}
+		p := s.Pivot[i]
+		if len(s.Rows[i]) != w || p < 0 || p > s.M {
+			return nil, fmt.Errorf("fold: fitter state row %d malformed (width %d, pivot %d, m=%d)", i, len(s.Rows[i]), p, s.M)
+		}
+		if err := integerRow(row, s.Rows[i]); err != nil {
+			return nil, err
+		}
+		if row[p].Sign() == 0 {
+			return nil, fmt.Errorf("fold: fitter state row %d has a zero pivot", i)
+		}
+		normalizeWide(row, p)
+		for _, v := range row {
+			fits = fits && v.IsInt64() && v.Int64() != math.MinInt64
+		}
+	}
+	f.pivot = append(make([]int, 0, s.M+1), s.Pivot...)
+	if !fits {
+		f.wide = wide
+		return f, nil
+	}
+	f.mat = make([]int64, w*w)
+	for i := range f.pivot {
+		for j, v := range wide[i] {
+			f.mat[i*w+j] = v.Int64()
+		}
 	}
 	return f, nil
+}
+
+// integerRow parses one checkpointed row into dst: integer entries, or
+// the "num/den" entries the rational fitter wrote, scaled by the LCM of
+// the row's denominators.
+func integerRow(dst []*big.Int, row []string) error {
+	dens := make([]*big.Int, len(row))
+	lcm := big.NewInt(1)
+	var g big.Int
+	for j, v := range row {
+		num, den, frac := strings.Cut(v, "/")
+		d := big.NewInt(1)
+		if _, ok := dst[j].SetString(num, 10); !ok {
+			return fmt.Errorf("fold: bad rational %q in fitter state", v)
+		}
+		if frac {
+			if _, ok := d.SetString(den, 10); !ok || d.Sign() <= 0 {
+				return fmt.Errorf("fold: bad rational %q in fitter state", v)
+			}
+		}
+		dens[j] = d
+		g.GCD(nil, nil, lcm, d)
+		lcm.Mul(lcm, g.Quo(d, &g))
+	}
+	for j, d := range dens {
+		dst[j].Mul(dst[j], g.Quo(lcm, d))
+	}
+	return nil
 }
 
 // LevelStateData serializes one run-recognition level.

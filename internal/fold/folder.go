@@ -82,7 +82,7 @@ type Folder struct {
 	lastLbl       []int64
 
 	// Small-stream fast path: the first few points are buffered without
-	// touching the run recognizer or the big.Rat fitters.  Most
+	// touching the run recognizer or the fitters.  Most
 	// dependence streams are tiny (see the fold.stream.points
 	// histogram); a single-distinct-point stream finishes directly with
 	// constant bounds, and anything larger replays the buffer through
@@ -425,8 +425,12 @@ func (f *Folder) finishSmall() (Piece, bool) {
 }
 
 // noteFinish publishes fold-outcome metrics: how many streams folded,
-// and whether each came out exact-affine or as a bounding-box
-// over-approximation.  Called once per stream (at Finish), never on the
+// whether each came out exact-affine or as a bounding-box
+// over-approximation, and how the stream's fitters decided their
+// samples (fold.fitter.samples.{solved,int64,wide}: this process's
+// samples by path; fold.fitter.samples: all samples the fitters hold,
+// which on a resumed stream includes those restored from a
+// checkpoint).  Called once per stream (at Finish), never on the
 // per-point path.
 func (f *Folder) noteFinish(p Piece) {
 	if !f.Obs.Enabled() {
@@ -439,6 +443,27 @@ func (f *Folder) noteFinish(p Piece) {
 		f.Obs.Add("fold.streams.approx", 1)
 	}
 	f.Obs.Observe("fold.stream.points", p.Points)
+
+	var total, solved, int64s, wide int
+	note := func(fit *Fitter) {
+		if fit != nil {
+			total += fit.nSamples
+			solved += fit.nSolved
+			int64s += fit.nInt64
+			wide += fit.nWide
+		}
+	}
+	for _, fit := range f.labelFit {
+		note(fit)
+	}
+	for i := range f.levels {
+		note(f.levels[i].loFit)
+		note(f.levels[i].hiFit)
+	}
+	f.Obs.Add("fold.fitter.samples", uint64(total))
+	f.Obs.Add("fold.fitter.samples.solved", uint64(solved))
+	f.Obs.Add("fold.fitter.samples.int64", uint64(int64s))
+	f.Obs.Add("fold.fitter.samples.wide", uint64(wide))
 }
 
 // embed widens an expression over the first k variables to dim

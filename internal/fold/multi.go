@@ -1,34 +1,8 @@
 package fold
 
 import (
-	"math/big"
-
 	"polyprof/internal/obs"
 )
-
-// Check reports whether the sample is consistent with the fitter's
-// current state without mutating it: an already-determined function
-// must evaluate to y; an undetermined basis must not reduce the sample
-// to a contradiction (rank extension is consistent).
-func (f *Fitter) Check(x []int64, y int64) bool {
-	if f.failed {
-		return false
-	}
-	if f.solved != nil {
-		return f.solved.Eval(x) == y
-	}
-	row := make([]*big.Rat, f.m+2)
-	for i := 0; i < f.m; i++ {
-		row[i] = new(big.Rat).SetInt64(x[i])
-	}
-	row[f.m] = new(big.Rat).SetInt64(1)
-	row[f.m+1] = new(big.Rat).SetInt64(y)
-	f.reduce(row)
-	if f.leadCol(row) == -1 && row[f.m+1].Sign() != 0 {
-		return false
-	}
-	return true
-}
 
 // checkLabels tests a whole label vector against the folder's fitters.
 func (f *Folder) checkLabels(coords, label []int64) bool {
