@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"polyprof/internal/core"
+	"polyprof/internal/iiv"
 	"polyprof/internal/obs"
 	"polyprof/internal/trace"
 	"polyprof/internal/workloads"
@@ -103,7 +104,7 @@ type countingSink struct {
 
 func (c *countingSink) OnControl(trace.ControlEvent) {}
 
-func (c *countingSink) OnInstr(ctx string, coords []int64, ev trace.InstrEvent, in *isa.Instr) {
+func (c *countingSink) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *isa.Instr) {
 	c.instrs++
 	if len(coords) > c.maxDepth {
 		c.maxDepth = len(coords)

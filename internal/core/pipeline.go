@@ -112,23 +112,24 @@ type InstrSink interface {
 	// so sinks can mirror the call stack for register dependence
 	// tracking.
 	OnControl(ev trace.ControlEvent)
-	// OnInstr is called per dynamic instruction with the current context
-	// key and coordinates.  coords is only valid during the call.
-	OnInstr(ctxKey string, coords []int64, ev trace.InstrEvent, in *isa.Instr)
+	// OnInstr is called per dynamic instruction with the handle of the
+	// current context and its coordinates.  coords is only valid during
+	// the call and must not be modified.
+	OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *isa.Instr)
 }
 
 // BatchSink is an optional InstrSink extension: a sink that also
 // implements OnInstrBatch receives instruction events in per-context
-// batches (one context key and coordinate vector shared by the whole
+// batches (one context handle and coordinate vector shared by the whole
 // batch, since the iteration vector only changes on control events).
 // The sharded dependence engine implements it; Pass2 automatically
 // drives such a sink through the VM's batched emission path.
 type BatchSink interface {
 	InstrSink
 	// OnInstrBatch delivers a run of instruction events sharing one
-	// context.  coords is only valid during the call; evs[i] pairs with
-	// ins[i].
-	OnInstrBatch(ctxKey string, coords []int64, evs []trace.InstrEvent, ins []*isa.Instr)
+	// context.  coords is only valid during the call and must not be
+	// modified; evs[i] pairs with ins[i].
+	OnInstrBatch(ctx iiv.Ctx, coords []int64, evs []trace.InstrEvent, ins []*isa.Instr)
 }
 
 // Pass2 is the second instrumentation pass: loop events, IIVs, schedule
@@ -137,8 +138,12 @@ type Pass2 struct {
 	Vector *iiv.Vector
 	Tree   *iiv.Tree
 
-	tr     *loopevents.Translator
-	sink   InstrSink
+	tr   *loopevents.Translator
+	sink InstrSink
+
+	// ctx and coords describe the current context; both only change on
+	// control events, so sync refreshes them there, not per instruction.
+	ctx    iiv.Ctx
 	coords []int64
 
 	// Events optionally records every loop event (used by the figure
@@ -151,6 +156,7 @@ type Pass2 struct {
 func NewPass2(prog *isa.Program, st *Structure, sink InstrSink) *Pass2 {
 	p := &Pass2{Vector: iiv.NewVector(), Tree: iiv.NewTree(), sink: sink}
 	p.tr = loopevents.NewTranslator(prog, st.Forest, st.Comps, p.emit)
+	p.sync()
 	return p
 }
 
@@ -176,22 +182,28 @@ func (p *Pass2) Control(ev trace.ControlEvent) {
 	}
 	p.tr.Control(ev)
 	p.Tree.Touch(p.Vector)
+	p.sync()
+}
+
+// sync refreshes the current context handle and coordinates from the
+// tree and vector.
+func (p *Pass2) sync() {
+	p.ctx = p.Tree.Cur()
+	p.coords = p.Vector.Coords(p.coords[:0])
 }
 
 // Instr implements trace.Hook.
 func (p *Pass2) Instr(ev trace.InstrEvent, in *isa.Instr) {
 	p.Tree.CountOp()
 	if p.sink != nil {
-		p.coords = p.Vector.Coords(p.coords[:0])
-		p.sink.OnInstr(p.Vector.Key(), p.coords, ev, in)
+		p.sink.OnInstr(p.ctx, p.coords, ev, in)
 	}
 }
 
 // pass2Batcher upgrades Pass2 to a trace.BatchHook when its sink
-// consumes batches: the context key and coordinates are computed once
-// per batch instead of once per instruction (sound because the VM
-// flushes batches before every control event, and the iteration vector
-// only changes on control events).
+// consumes batches: one call per batch instead of one per instruction
+// (sound because the VM flushes batches before every control event,
+// and the context only changes on control events).
 type pass2Batcher struct {
 	*Pass2
 	batch BatchSink
@@ -199,8 +211,7 @@ type pass2Batcher struct {
 
 func (p pass2Batcher) InstrBatch(evs []trace.InstrEvent, ins []*isa.Instr) {
 	p.Tree.CountOps(len(evs))
-	p.Pass2.coords = p.Vector.Coords(p.Pass2.coords[:0])
-	p.batch.OnInstrBatch(p.Vector.Key(), p.Pass2.coords, evs, ins)
+	p.batch.OnInstrBatch(p.ctx, p.coords, evs, ins)
 }
 
 // hook returns the trace.Hook to register with the VM: Pass2 itself,
@@ -255,6 +266,8 @@ func runPass2(prog *isa.Program, st *Structure, sink InstrSink, initMem func([]u
 		return nil, vm.Stats{}, err
 	}
 	sp.AddEvents(m.Stats().Ops)
+	sc.Add("iiv.contexts", p.Tree.Contexts())
+	sc.Add("iiv.ctx_switches", p.Tree.Switches())
 	p.Tree.Finalize()
 	return p, m.Stats(), nil
 }

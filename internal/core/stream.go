@@ -128,6 +128,7 @@ func (ec *epochConfig) arm(p *Pass2, m *vm.Machine, prog *isa.Program, st *Struc
 		return err
 	}
 	p.Vector, p.Tree, p.tr = v, t, tr
+	p.sync()
 	m.Restore(ck.VM)
 	ec.epochN = ck.Epoch
 	flight.Log("stream", "resume", fmt.Sprintf("resuming pass 2 from epoch %d (%d events)", ck.Epoch, ck.Events))

@@ -23,6 +23,7 @@ import (
 
 	"polyprof/internal/budget"
 	"polyprof/internal/fold"
+	"polyprof/internal/iiv"
 	"polyprof/internal/isa"
 	"polyprof/internal/obs"
 	"polyprof/internal/trace"
@@ -100,14 +101,12 @@ func (i *Instr) HasValue() bool { return i.hasValue }
 // HasAccess reports whether the instruction accessed memory.
 func (i *Instr) HasAccess() bool { return i.hasAccess }
 
-// NewInstr constructs an instruction vertex outside the sequential
-// builder, applying the same value/access classification instrFor
-// applies — but without attaching folders: an alternative engine (the
-// sharded one in internal/parddg) owns its own folders and assigns
-// Value/Access/Pieces at merge time.  Keeping the classification here
-// is what keeps HasValue/HasAccess — and therefore the fold-stream
-// census and SCEV candidacy — identical between engines.
-func NewInstr(id int, ref trace.InstrRef, ctx string, in *isa.Instr, stmt *Stmt) *Instr {
+// newInstr constructs an instruction vertex without folders, classifying
+// it as value-producing and/or memory-accessing.  Every engine's
+// vertices come from here (through ContextTable), which keeps
+// HasValue/HasAccess — and therefore the fold-stream census and SCEV
+// candidacy — identical between engines.
+func newInstr(id int, ref trace.InstrRef, ctx string, in *isa.Instr, stmt *Stmt) *Instr {
 	i := &Instr{
 		ID:    id,
 		Ref:   ref,
@@ -242,17 +241,9 @@ type Builder struct {
 	prog *isa.Program
 	opts Options
 
-	stmts    map[string]map[isa.BlockID]*Stmt // ctx -> block -> stmt
-	instrs   map[string]map[trace.InstrRef]*Instr
-	deps     map[depKey]*Dep
-	allStmts []*Stmt
-	allInst  []*Instr
-	allDeps  []*Dep
-
-	// Per-context caches, valid while ctx == cacheCtx.
-	cacheCtx   string
-	stmtCache  map[isa.BlockID]*Stmt
-	instrCache map[trace.InstrRef]*Instr
+	vt      ContextTable
+	deps    map[depKey]*Dep
+	allDeps []*Dep
 
 	shadow   []writerRec // last writer per word
 	lastRead []writerRec // last reader per word
@@ -296,12 +287,11 @@ func NewBuilder(prog *isa.Program, opts Options) *Builder {
 	b := &Builder{
 		prog:     prog,
 		opts:     opts,
-		stmts:    map[string]map[isa.BlockID]*Stmt{},
-		instrs:   map[string]map[trace.InstrRef]*Instr{},
 		deps:     map[depKey]*Dep{},
 		shadow:   make([]writerRec, prog.MemWords),
 		lastRead: make([]writerRec, prog.MemWords),
 	}
+	b.vt.newFolder = b.newFolder
 	main := prog.Func(prog.Main)
 	b.frames = append(b.frames, frame{regw: make([]writerRec, main.NumRegs), retDst: isa.NoReg})
 	b.curRegWords = main.NumRegs
@@ -358,71 +348,6 @@ func (b *Builder) OnControl(ev trace.ControlEvent) {
 	}
 }
 
-func (b *Builder) stmtFor(ctx string, blk isa.BlockID, depth int) *Stmt {
-	if ctx != b.cacheCtx {
-		b.cacheCtx = ctx
-		b.stmtCache = map[isa.BlockID]*Stmt{}
-		b.instrCache = map[trace.InstrRef]*Instr{}
-	}
-	if s, ok := b.stmtCache[blk]; ok {
-		return s
-	}
-	byBlk := b.stmts[ctx]
-	if byBlk == nil {
-		byBlk = map[isa.BlockID]*Stmt{}
-		b.stmts[ctx] = byBlk
-	}
-	s, ok := byBlk[blk]
-	if !ok {
-		s = &Stmt{
-			ID:     len(b.allStmts),
-			Block:  blk,
-			Ctx:    ctx,
-			Depth:  depth,
-			folder: b.newFolder(depth, 0),
-		}
-		byBlk[blk] = s
-		b.allStmts = append(b.allStmts, s)
-	}
-	b.stmtCache[blk] = s
-	return s
-}
-
-func (b *Builder) instrFor(ctx string, ref trace.InstrRef, in *isa.Instr, stmt *Stmt) *Instr {
-	if i, ok := b.instrCache[ref]; ok {
-		return i
-	}
-	byRef := b.instrs[ctx]
-	if byRef == nil {
-		byRef = map[trace.InstrRef]*Instr{}
-		b.instrs[ctx] = byRef
-	}
-	i, ok := byRef[ref]
-	if !ok {
-		i = &Instr{
-			ID:    len(b.allInst),
-			Ref:   ref,
-			Ctx:   ctx,
-			Depth: stmt.Depth,
-			Op:    in.Op,
-			Loc:   in.Loc,
-			Stmt:  stmt,
-		}
-		if in.Op.ProducesInt() && in.Dst != isa.NoReg {
-			i.valueFolder = b.newFolder(stmt.Depth, 1)
-			i.hasValue = true
-		}
-		if in.Op.IsMem() {
-			i.accessFolder = b.newFolder(stmt.Depth, 1)
-			i.hasAccess = true
-		}
-		byRef[ref] = i
-		b.allInst = append(b.allInst, i)
-	}
-	b.instrCache[ref] = i
-	return i
-}
-
 func (b *Builder) addDep(src *Instr, srcCoords []int64, dst *Instr, dstCoords []int64, kind Kind) {
 	key := depKey{src: src.ID, dst: dst.ID, kind: kind}
 	d, ok := b.deps[key]
@@ -450,17 +375,16 @@ func (b *Builder) addDep(src *Instr, srcCoords []int64, dst *Instr, dstCoords []
 }
 
 // OnInstr implements core.InstrSink.
-func (b *Builder) OnInstr(ctxKey string, coords []int64, ev trace.InstrEvent, in *isa.Instr) {
+func (b *Builder) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *isa.Instr) {
 	b.totalOps++
 	if in.Op.IsFP() {
 		b.fpOps++
 	}
-	stmt := b.stmtFor(ctxKey, ev.Ref.Block, len(coords))
+	stmt, instr := b.vt.Resolve(ctx, ev.Ref, in, len(coords))
 	if ev.Ref.Index == 0 {
 		stmt.Count++
 		stmt.folder.Add(coords, nil)
 	}
-	instr := b.instrFor(ctxKey, ev.Ref, in, stmt)
 	instr.Count++
 
 	fr := b.curFrame()
@@ -599,8 +523,8 @@ func (b *Builder) FinishChecked() (*Graph, error) {
 	// everything else.
 	b.finishCoarse()
 	g := &Graph{
-		Stmts:    b.allStmts,
-		Instrs:   b.allInst,
+		Stmts:    b.vt.Stmts,
+		Instrs:   b.vt.Instrs,
 		TotalOps: b.totalOps,
 		MemOps:   b.memOps,
 		FPOps:    b.fpOps,

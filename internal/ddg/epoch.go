@@ -5,9 +5,11 @@
 //     boundary while the live builder keeps folding the stream.
 //
 //   - State/RestoreBuilder: exact checkpoint serialization.  Vertices
-//     are keyed by (context, block/instruction ref) — both re-derivable
-//     from the program image — and folders persist via the fold state
-//     format, so a restored builder continues the stream bit-for-bit.
+//     are keyed by (context key, block/instruction ref) — both
+//     re-derivable from the program image — and folders persist via the
+//     fold state format, so a restored builder continues the stream
+//     bit-for-bit.  Context IDs are per-run and not stored: restored
+//     contexts re-bind to an ID when a handle first names their key.
 //
 //   - Fold-and-release (Options.Stream): at every epoch boundary,
 //     shadow records untouched during the closing epoch fold into stale
@@ -44,8 +46,6 @@ func (b *Builder) Clone() *Builder {
 	c := &Builder{
 		prog:          b.prog,
 		opts:          opts,
-		stmts:         map[string]map[isa.BlockID]*Stmt{},
-		instrs:        map[string]map[trace.InstrRef]*Instr{},
 		deps:          map[depKey]*Dep{},
 		totalOps:      b.totalOps,
 		memOps:        b.memOps,
@@ -57,24 +57,18 @@ func (b *Builder) Clone() *Builder {
 		faultErr:      b.faultErr,
 		pinTripped:    b.opts.Budget.Tripped(),
 	}
-	sm := make(map[*Stmt]*Stmt, len(b.allStmts))
-	for _, s := range b.allStmts {
+	sm := make(map[*Stmt]*Stmt, len(b.vt.Stmts))
+	for _, s := range b.vt.Stmts {
 		cs := &Stmt{ID: s.ID, Block: s.Block, Ctx: s.Ctx, Depth: s.Depth, Count: s.Count}
 		if s.folder != nil {
 			cs.folder = s.folder.Clone()
 			cs.folder.Obs = opts.Obs
 		}
-		byBlk := c.stmts[s.Ctx]
-		if byBlk == nil {
-			byBlk = map[isa.BlockID]*Stmt{}
-			c.stmts[s.Ctx] = byBlk
-		}
-		byBlk[s.Block] = cs
 		sm[s] = cs
-		c.allStmts = append(c.allStmts, cs)
+		c.vt.Stmts = append(c.vt.Stmts, cs)
 	}
-	im := make(map[*Instr]*Instr, len(b.allInst))
-	for _, i := range b.allInst {
+	im := make(map[*Instr]*Instr, len(b.vt.Instrs))
+	for _, i := range b.vt.Instrs {
 		ci := new(Instr)
 		*ci = *i
 		ci.Stmt = sm[i.Stmt]
@@ -86,14 +80,8 @@ func (b *Builder) Clone() *Builder {
 			ci.accessFolder = i.accessFolder.Clone()
 			ci.accessFolder.Obs = opts.Obs
 		}
-		byRef := c.instrs[i.Ctx]
-		if byRef == nil {
-			byRef = map[trace.InstrRef]*Instr{}
-			c.instrs[i.Ctx] = byRef
-		}
-		byRef[i.Ref] = ci
 		im[i] = ci
-		c.allInst = append(c.allInst, ci)
+		c.vt.Instrs = append(c.vt.Instrs, ci)
 	}
 	for _, d := range b.allDeps {
 		cd := &Dep{Src: im[d.Src], Dst: im[d.Dst], Kind: d.Kind, Count: d.Count, Degraded: d.Degraded}
@@ -119,9 +107,9 @@ func (b *Builder) Clone() *Builder {
 			c.stale[k] = cloneRange(rg, im)
 		}
 	}
-	// shadow/lastRead/frames/pendings are only consulted by the event
-	// hot path, never by Finish; the clone exists to be finished, so
-	// they stay empty.
+	// The context index and shadow/lastRead/frames/pendings are only
+	// consulted by the event hot path, never by Finish; the clone exists
+	// to be finished, so they stay empty.
 	return c
 }
 
@@ -414,13 +402,13 @@ func (b *Builder) State() (*BuilderState, error) {
 		Shadow: recStates(b.shadow), LastRead: recStates(b.lastRead),
 		PendingDst: b.pendingDst,
 	}
-	for _, st := range b.allStmts {
+	for _, st := range b.vt.Stmts {
 		s.Stmts = append(s.Stmts, StmtState{
 			Block: st.Block, Ctx: st.Ctx, Depth: st.Depth, Count: st.Count,
 			Folder: st.folder.State(),
 		})
 	}
-	for _, i := range b.allInst {
+	for _, i := range b.vt.Instrs {
 		is := InstrState{Ref: i.Ref, Ctx: i.Ctx, Stmt: i.Stmt.ID, Count: i.Count}
 		if i.valueFolder != nil {
 			v := i.valueFolder.State()
@@ -489,17 +477,10 @@ func RestoreBuilder(prog *isa.Program, opts Options, s *BuilderState) (*Builder,
 			return nil, err
 		}
 		f.Obs = opts.Obs
-		st := &Stmt{ID: len(b.allStmts), Block: ss.Block, Ctx: ss.Ctx, Depth: ss.Depth, Count: ss.Count, folder: f}
-		byBlk := b.stmts[ss.Ctx]
-		if byBlk == nil {
-			byBlk = map[isa.BlockID]*Stmt{}
-			b.stmts[ss.Ctx] = byBlk
-		}
-		byBlk[ss.Block] = st
-		b.allStmts = append(b.allStmts, st)
+		b.vt.restoreStmt(&Stmt{ID: len(b.vt.Stmts), Block: ss.Block, Ctx: ss.Ctx, Depth: ss.Depth, Count: ss.Count, folder: f})
 	}
 	for _, is := range s.Instrs {
-		if is.Stmt < 0 || is.Stmt >= len(b.allStmts) {
+		if is.Stmt < 0 || is.Stmt >= len(b.vt.Stmts) {
 			return nil, fmt.Errorf("ddg: checkpoint instr references unknown stmt %d", is.Stmt)
 		}
 		if is.Ref.Block < 0 || int(is.Ref.Block) >= len(prog.Blocks) {
@@ -509,8 +490,12 @@ func RestoreBuilder(prog *isa.Program, opts Options, s *BuilderState) (*Builder,
 		if is.Ref.Index < 0 || int(is.Ref.Index) >= len(blk.Code) {
 			return nil, fmt.Errorf("ddg: checkpoint instr index %d out of range in block %q", is.Ref.Index, blk.Name)
 		}
+		stmt := b.vt.Stmts[is.Stmt]
+		if stmt.Block != is.Ref.Block || stmt.Ctx != is.Ctx {
+			return nil, fmt.Errorf("ddg: checkpoint instr %v under %q does not belong to stmt %d", is.Ref, is.Ctx, is.Stmt)
+		}
 		in := &blk.Code[is.Ref.Index]
-		i := NewInstr(len(b.allInst), is.Ref, is.Ctx, in, b.allStmts[is.Stmt])
+		i := newInstr(len(b.vt.Instrs), is.Ref, is.Ctx, in, stmt)
 		i.Count = is.Count
 		if i.hasValue {
 			if is.Value == nil {
@@ -534,19 +519,13 @@ func RestoreBuilder(prog *isa.Program, opts Options, s *BuilderState) (*Builder,
 			f.Obs = opts.Obs
 			i.accessFolder = f
 		}
-		byRef := b.instrs[is.Ctx]
-		if byRef == nil {
-			byRef = map[trace.InstrRef]*Instr{}
-			b.instrs[is.Ctx] = byRef
-		}
-		byRef[is.Ref] = i
-		b.allInst = append(b.allInst, i)
+		b.vt.restoreInstr(i)
 	}
 	instrAt := func(id int) (*Instr, error) {
-		if id < 0 || id >= len(b.allInst) {
+		if id < 0 || id >= len(b.vt.Instrs) {
 			return nil, fmt.Errorf("ddg: checkpoint references unknown instr I%d", id)
 		}
-		return b.allInst[id], nil
+		return b.vt.Instrs[id], nil
 	}
 	for _, ds := range s.Deps {
 		src, err := instrAt(ds.Src)

@@ -44,6 +44,11 @@ type OverheadReport struct {
 	Ops    uint64        `json:"ops"`
 	Stages []StageCost   `json:"stages"`
 	Total  time.Duration `json:"total_ns"`
+	// Contexts is the number of distinct leaf contexts (statement
+	// contexts) pass 2 interned, CtxSwitches how often its current
+	// context changed: the iiv.contexts and iiv.ctx_switches metrics.
+	Contexts    uint64 `json:"iiv_contexts"`
+	CtxSwitches uint64 `json:"iiv_ctx_switches"`
 	// Parallel is the utilization diagnosis of the sharded dependence
 	// engine (per-actor busy fractions, sequencer occupancy, Amdahl
 	// projection); nil on sequential runs.
@@ -114,12 +119,13 @@ func OverheadShardedScoped(spec workloads.Spec, shards int, sc obs.Scope) (*Over
 	add("pass1", time.Since(t0), st.Stats.Ops, "instrs")
 
 	t0 = time.Now()
-	_, iivStats, err := core.RunPass2Scoped(prog, st, nil, nil, ssc, nil)
+	iivPass, iivStats, err := core.RunPass2Scoped(prog, st, nil, nil, ssc, nil)
 	if err != nil {
 		root.Fail(err)
 		return nil, fmt.Errorf("%s: pass2-iiv: %w", spec.Name, err)
 	}
 	add("pass2-iiv", time.Since(t0), iivStats.Ops, "instrs")
+	rep.Contexts, rep.CtxSwitches = iivPass.Tree.Contexts(), iivPass.Tree.Switches()
 
 	t0 = time.Now()
 	ddgOpts := ddg.DefaultOptions()

@@ -105,6 +105,13 @@ func TestOverheadReportShape(t *testing.T) {
 	if len(back) != 1 || back[0].Workload != "example1" || len(back[0].Stages) != len(OverheadStages) {
 		t.Errorf("round-trip mismatch: %+v", back)
 	}
+	// Example 1 runs its eleven statements each under one context.
+	if r.Contexts != 11 || r.CtxSwitches < r.Contexts {
+		t.Errorf("iiv contexts = %d, switches = %d", r.Contexts, r.CtxSwitches)
+	}
+	if !strings.Contains(string(data), `"iiv_contexts": 11`) {
+		t.Errorf("overhead JSON lacks iiv_contexts:\n%s", data)
+	}
 }
 
 func TestRenderOverheadSuite(t *testing.T) {

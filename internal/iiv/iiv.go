@@ -49,48 +49,77 @@ func (e Elem) Key() string {
 // belongs to it).
 func (e Elem) IsLoop() bool { return e.Loop != nil || e.Comp != nil }
 
-// Dim is one dimension: an induction variable plus a context stack.
-type Dim struct {
-	IV  int64
-	Ctx []Elem
-}
-
 // Vector is a dynamic interprocedural iteration vector, updated from
-// loop events per Alg. 3.
+// loop events per Alg. 3.  It stores the context stacks of all its
+// dimensions as one flattened path: a loop or component element always
+// closes its dimension (EnterLoop/EnterRec append it last and open the
+// next dimension; ExitLoop/ExitRec remove it together with that
+// dimension), so the path alone determines where dimensions begin.
+// That invariant is what lets the schedule tree identify a context by
+// the node its path leads to.
 type Vector struct {
-	dims []Dim
+	path   []Elem
+	starts []int   // starts[k] is where dimension k's stack begins in path
+	ivs    []int64 // ivs[k] is dimension k's induction variable (ivs[0] unused)
 
-	key   string
-	dirty bool
+	// stable is the length of the path prefix no event has changed since
+	// the schedule tree last resolved the path (Tree.resolve).
+	stable int
 }
 
 // NewVector returns the initial vector: a single dimension with an
 // empty context.
 func NewVector() *Vector {
-	return &Vector{dims: []Dim{{}}, dirty: true}
+	return &Vector{starts: []int{0}, ivs: []int64{0}}
 }
 
 // Depth returns the loop depth (number of dimensions beyond the root).
-func (v *Vector) Depth() int { return len(v.dims) - 1 }
+func (v *Vector) Depth() int { return len(v.starts) - 1 }
 
-// Dims exposes the dimensions for rendering.
-func (v *Vector) Dims() []Dim { return v.dims }
-
-func (v *Vector) innermost() *Dim { return &v.dims[len(v.dims)-1] }
-
-func (d *Dim) setLast(e Elem) {
-	if len(d.Ctx) == 0 {
-		d.Ctx = append(d.Ctx, e)
-		return
+// dim returns dimension k's context stack.
+func (v *Vector) dim(k int) []Elem {
+	end := len(v.path)
+	if k+1 < len(v.starts) {
+		end = v.starts[k+1]
 	}
-	d.Ctx[len(d.Ctx)-1] = e
+	return v.path[v.starts[k]:end]
 }
 
-func (d *Dim) push(e Elem) { d.Ctx = append(d.Ctx, e) }
+// setLast replaces the innermost stack's top element (pushing onto an
+// empty stack).
+func (v *Vector) setLast(e Elem) {
+	n := len(v.path)
+	if n == v.starts[len(v.starts)-1] {
+		v.path = append(v.path, e)
+		return
+	}
+	if v.path[n-1] != e {
+		v.path[n-1] = e
+		v.stable = min(v.stable, n-1)
+	}
+}
 
-func (d *Dim) pop() {
-	if len(d.Ctx) > 0 {
-		d.Ctx = d.Ctx[:len(d.Ctx)-1]
+func (v *Vector) push(e Elem) { v.path = append(v.path, e) }
+
+func (v *Vector) pop() {
+	if n := len(v.path); n > v.starts[len(v.starts)-1] {
+		v.path = v.path[:n-1]
+		v.stable = min(v.stable, n-1)
+	}
+}
+
+func (v *Vector) addDim(e Elem) {
+	v.starts = append(v.starts, len(v.path))
+	v.ivs = append(v.ivs, 0)
+	v.path = append(v.path, e)
+}
+
+func (v *Vector) removeDim() {
+	if k := len(v.starts) - 1; k > 0 {
+		v.path = v.path[:v.starts[k]]
+		v.stable = min(v.stable, len(v.path))
+		v.starts = v.starts[:k]
+		v.ivs = v.ivs[:k]
 	}
 }
 
@@ -98,77 +127,64 @@ func (d *Dim) pop() {
 // the N rule: a local jump updates the innermost context's current
 // block).
 func (v *Vector) Apply(ev loopevents.Event) {
-	v.dirty = true
-	in := v.innermost()
 	switch ev.Kind {
 	case loopevents.LocalJump:
-		in.setLast(blockElem(ev.Block))
+		v.setLast(blockElem(ev.Block))
 
 	case loopevents.CallFn:
-		in.push(blockElem(ev.Block))
+		v.push(blockElem(ev.Block))
 
 	case loopevents.ReturnFn:
-		in.pop()
-		in.setLast(blockElem(ev.Block))
+		v.pop()
+		v.setLast(blockElem(ev.Block))
 
 	case loopevents.EnterLoop:
-		in.setLast(loopElem(ev.Loop))
-		v.dims = append(v.dims, Dim{IV: 0, Ctx: []Elem{blockElem(ev.Block)}})
+		v.setLast(loopElem(ev.Loop))
+		v.addDim(blockElem(ev.Block))
 
 	case loopevents.EnterRec:
-		in.push(compElem(ev.Comp))
-		v.dims = append(v.dims, Dim{IV: 0, Ctx: []Elem{blockElem(ev.Block)}})
+		v.push(compElem(ev.Comp))
+		v.addDim(blockElem(ev.Block))
 
 	case loopevents.ExitLoop:
 		v.removeDim()
-		v.innermost().setLast(blockElem(ev.Block))
+		v.setLast(blockElem(ev.Block))
 
 	case loopevents.ExitRec:
 		v.removeDim()
-		v.innermost().pop()
-		v.innermost().setLast(blockElem(ev.Block))
+		v.pop()
+		v.setLast(blockElem(ev.Block))
 
 	case loopevents.IterateLoop, loopevents.IterCallRec, loopevents.IterRetRec:
-		in.IV++
-		in.setLast(blockElem(ev.Block))
-	}
-}
-
-func (v *Vector) removeDim() {
-	if len(v.dims) > 1 {
-		v.dims = v.dims[:len(v.dims)-1]
+		v.ivs[len(v.ivs)-1]++
+		v.setLast(blockElem(ev.Block))
 	}
 }
 
 // Coords appends the induction variables (outermost first) to buf and
 // returns it.  The root dimension carries no induction variable.
 func (v *Vector) Coords(buf []int64) []int64 {
-	for i := 1; i < len(v.dims); i++ {
-		buf = append(buf, v.dims[i].IV)
-	}
-	return buf
+	return append(buf, v.ivs[1:]...)
 }
 
 // Key returns a stable encoding of the non-numerical part of the vector
-// (the "context" the folding stage groups by).
+// (the "context" the folding stage groups by).  It renders on every
+// call; the pass-2 hot path uses the schedule tree's interned handle
+// (Tree.Cur) instead.
 func (v *Vector) Key() string {
-	if v.dirty {
-		var sb strings.Builder
-		for i := range v.dims {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			for j, e := range v.dims[i].Ctx {
-				if j > 0 {
-					sb.WriteByte('/')
-				}
-				sb.WriteString(e.Key())
-			}
+	var sb strings.Builder
+	for k := range v.starts {
+		if k > 0 {
+			sb.WriteByte(',')
 		}
-		v.key = sb.String()
-		v.dirty = false
+		for j, e := range v.dim(k) {
+			if j > 0 {
+				sb.WriteByte('/')
+			}
+			sb.WriteString(e.Key())
+		}
 	}
-	return v.key
+	return sb.String()
 }
 
 // Namer renders context elements with human-readable names.
@@ -196,11 +212,11 @@ func ProgramNamer(p *isa.Program) Namer {
 func (v *Vector) Render(name Namer) string {
 	var sb strings.Builder
 	sb.WriteByte('(')
-	for i, d := range v.dims {
-		if i > 0 {
-			fmt.Fprintf(&sb, ", %d, ", d.IV)
+	for k := range v.starts {
+		if k > 0 {
+			fmt.Fprintf(&sb, ", %d, ", v.ivs[k])
 		}
-		for j, e := range d.Ctx {
+		for j, e := range v.dim(k) {
 			if j > 0 {
 				sb.WriteByte('/')
 			}

@@ -23,14 +23,14 @@ type storeSink struct {
 
 func (s *storeSink) OnControl(trace.ControlEvent) {}
 
-func (s *storeSink) OnInstr(ctxKey string, coords []int64, ev trace.InstrEvent, in *isa.Instr) {
+func (s *storeSink) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *isa.Instr) {
 	if !in.Op.IsMemWrite() {
 		return
 	}
 	if s.prog.Block(ev.Ref.Block).Name != s.blockName {
 		return
 	}
-	s.ctxs = append(s.ctxs, ctxKey)
+	s.ctxs = append(s.ctxs, ctx.Key)
 	s.coords = append(s.coords, append([]int64(nil), coords...))
 }
 

@@ -6,6 +6,19 @@ import (
 	"strings"
 )
 
+// Ctx is the interned handle of one statement context: the schedule
+// tree leaf an instruction executes under.  ID is dense per run (the
+// root, the empty context, is 0; every other leaf is numbered in the
+// order it first becomes current) so sinks can index per-context state
+// by it; Key is the context's vector key, rendered once per leaf.  IDs
+// never leave the process: reports, checkpoints and caches name
+// contexts by Key, and a restored tree renumbers its leaves.  The zero
+// Ctx is the empty context.
+type Ctx struct {
+	ID  int
+	Key string
+}
+
 // TreeNode is one node of the dynamic schedule tree: the structure that
 // unifies the polyhedral schedule tree with the calling-context tree
 // (paper Fig. 5).  Interior nodes are context elements (blocks the
@@ -17,7 +30,7 @@ type TreeNode struct {
 	Parent *TreeNode
 
 	Children []*TreeNode
-	index    map[string]*TreeNode
+	index    map[Elem]*TreeNode
 
 	// StaticIdx is the node's Kelly-mapping static index: the position
 	// of the node among its siblings in first-execution order, which for
@@ -35,23 +48,47 @@ type TreeNode struct {
 	// CtxKey is the vector context key for leaf contexts touched at this
 	// node ("" if the node was never an innermost context).
 	CtxKey string
+	// ID is the node's context ID (see Ctx), valid once leaf is set.
+	ID   int
+	leaf bool
 }
 
 // IsRoot reports whether the node is the tree root.
 func (n *TreeNode) IsRoot() bool { return n.Parent == nil }
 
 func (n *TreeNode) child(e Elem) *TreeNode {
-	k := e.Key()
-	if c, ok := n.index[k]; ok {
+	if c, ok := n.index[e]; ok {
 		return c
 	}
-	c := &TreeNode{Elem: e, Parent: n, StaticIdx: len(n.Children), index: map[string]*TreeNode{}}
+	c := &TreeNode{Elem: e, Parent: n, StaticIdx: len(n.Children)}
 	if n.index == nil {
-		n.index = map[string]*TreeNode{}
+		n.index = map[Elem]*TreeNode{}
 	}
-	n.index[k] = c
+	n.index[e] = c
 	n.Children = append(n.Children, c)
 	return c
+}
+
+// renderKey renders the node's context key from its root path, which
+// determines the vector's dimensions because a loop or component
+// element always closes its dimension (see Vector).
+func (n *TreeNode) renderKey() string {
+	var rev []Elem
+	for cur := n; !cur.IsRoot(); cur = cur.Parent {
+		rev = append(rev, cur.Elem)
+	}
+	var sb strings.Builder
+	for i := len(rev) - 1; i >= 0; i-- {
+		if i < len(rev)-1 {
+			if rev[i+1].IsLoop() {
+				sb.WriteByte(',')
+			} else {
+				sb.WriteByte('/')
+			}
+		}
+		sb.WriteString(rev[i].Key())
+	}
+	return sb.String()
 }
 
 // Path renders the root-to-node context path.
@@ -76,48 +113,102 @@ type Tree struct {
 	cur    *TreeNode // leaf for the current context
 	byCtx  map[string]*TreeNode
 	frozen bool
+
+	// path[i] is the node of vec's path[:i+1] for i < resolved: the
+	// part of the current context's root path that events left intact
+	// is reused, not walked again.
+	vec      *Vector
+	path     []*TreeNode
+	resolved int
+
+	// Plain run counters, published once per run (iiv.contexts,
+	// iiv.ctx_switches).
+	nextID   int
+	contexts uint64
+	switches uint64
 }
 
 // NewTree creates an empty dynamic schedule tree.
 func NewTree() *Tree {
 	return &Tree{
-		Root:  &TreeNode{index: map[string]*TreeNode{}},
-		byCtx: map[string]*TreeNode{},
+		Root:   &TreeNode{},
+		byCtx:  map[string]*TreeNode{},
+		nextID: 1,
 	}
+}
+
+// resolve returns the node of v's path[:n], creating nodes as needed.
+// Only the suffix changed since the last call is looked up again.
+func (t *Tree) resolve(v *Vector, n int) *TreeNode {
+	if t.vec != v {
+		t.vec, t.resolved = v, 0
+	}
+	t.resolved = min(t.resolved, v.stable)
+	v.stable = len(v.path)
+	for ; t.resolved < n; t.resolved++ {
+		parent := t.Root
+		if t.resolved > 0 {
+			parent = t.path[t.resolved-1]
+		}
+		c := parent.child(v.path[t.resolved])
+		if t.resolved < len(t.path) {
+			t.path[t.resolved] = c
+		} else {
+			t.path = append(t.path, c)
+		}
+	}
+	if n == 0 {
+		return t.Root
+	}
+	return t.path[n-1]
+}
+
+// markLeaf interns n as a leaf context: it gets its ID and its key,
+// rendered here once.
+func (t *Tree) markLeaf(n *TreeNode) {
+	n.leaf = true
+	if !n.IsRoot() {
+		n.ID = t.nextID
+		t.nextID++
+	}
+	if n.CtxKey == "" {
+		n.CtxKey = n.renderKey()
+	}
+	t.byCtx[n.CtxKey] = n
+	t.contexts++
 }
 
 // Touch positions the tree's current leaf at the context described by
 // the vector, creating nodes as needed.  Call it after every control
-// event; CountOp then attributes instructions to the right leaf.
+// event; CountOp then attributes instructions to the right leaf.  For
+// a context already seen it allocates nothing.
 func (t *Tree) Touch(v *Vector) *TreeNode {
-	n := t.Root
-	for _, d := range v.dims {
-		for _, e := range d.Ctx {
-			n = n.child(e)
-		}
+	n := t.resolve(v, len(v.path))
+	if !n.leaf {
+		t.markLeaf(n)
 	}
-	if n.CtxKey == "" {
-		key := v.Key()
-		n.CtxKey = key
-		t.byCtx[key] = n
+	if n != t.cur {
+		t.switches++
+		t.cur = n
 	}
-	t.cur = n
 	return n
+}
+
+// Cur returns the handle of the current context (the empty context
+// before the first Touch).
+func (t *Tree) Cur() Ctx {
+	if t.cur == nil {
+		return Ctx{}
+	}
+	return Ctx{ID: t.cur.ID, Key: t.cur.CtxKey}
 }
 
 // NoteIteration increments the iteration counter of the innermost live
 // loop node (the loop element closing the second-innermost dimension).
 func (t *Tree) NoteIteration(v *Vector) {
-	if len(v.dims) < 2 {
-		return
+	if k := len(v.starts) - 1; k > 0 {
+		t.resolve(v, v.starts[k]).Iters++
 	}
-	n := t.Root
-	for i := 0; i < len(v.dims)-1; i++ {
-		for _, e := range v.dims[i].Ctx {
-			n = n.child(e)
-		}
-	}
-	n.Iters++
 }
 
 // CountOp attributes one executed instruction to the current context.
@@ -137,6 +228,13 @@ func (t *Tree) CountOps(n int) {
 
 // NodeByCtx returns the leaf node for a context key, or nil.
 func (t *Tree) NodeByCtx(key string) *TreeNode { return t.byCtx[key] }
+
+// Contexts returns the number of distinct leaf contexts the tree has
+// interned.
+func (t *Tree) Contexts() uint64 { return t.contexts }
+
+// Switches returns how often Touch moved the current context.
+func (t *Tree) Switches() uint64 { return t.switches }
 
 // Finalize computes aggregated operation counts bottom-up.  It is
 // idempotent.

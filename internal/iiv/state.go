@@ -79,9 +79,9 @@ type VectorState struct {
 // State captures the vector for checkpointing.
 func (v *Vector) State() VectorState {
 	var s VectorState
-	for _, d := range v.dims {
-		ds := DimState{IV: d.IV}
-		for _, e := range d.Ctx {
+	for k := range v.starts {
+		ds := DimState{IV: v.ivs[k]}
+		for _, e := range v.dim(k) {
 			ds.Ctx = append(ds.Ctx, e.Key())
 		}
 		s.Dims = append(s.Dims, ds)
@@ -91,20 +91,20 @@ func (v *Vector) State() VectorState {
 
 // RestoreVector rebuilds a vector from its checkpointed state.
 func RestoreVector(s VectorState, r *ElemResolver) (*Vector, error) {
-	v := &Vector{dirty: true}
+	if len(s.Dims) == 0 {
+		return NewVector(), nil
+	}
+	v := &Vector{}
 	for _, ds := range s.Dims {
-		d := Dim{IV: ds.IV}
+		v.starts = append(v.starts, len(v.path))
+		v.ivs = append(v.ivs, ds.IV)
 		for _, k := range ds.Ctx {
 			e, err := r.Resolve(k)
 			if err != nil {
 				return nil, err
 			}
-			d.Ctx = append(d.Ctx, e)
+			v.path = append(v.path, e)
 		}
-		v.dims = append(v.dims, d)
-	}
-	if len(v.dims) == 0 {
-		v.dims = []Dim{{}}
 	}
 	return v, nil
 }
@@ -147,6 +147,8 @@ func (t *Tree) State() TreeState {
 }
 
 // RestoreTree rebuilds a schedule tree from its checkpointed state.
+// Leaf context IDs are not serialized; they are renumbered here in
+// depth-first order.
 func RestoreTree(s TreeState, r *ElemResolver) (*Tree, error) {
 	t := NewTree()
 	var build func(dst *TreeNode, src TreeNodeState) error
@@ -155,7 +157,7 @@ func RestoreTree(s TreeState, r *ElemResolver) (*Tree, error) {
 		dst.Iters = src.Iters
 		dst.CtxKey = src.CtxKey
 		if src.CtxKey != "" {
-			t.byCtx[src.CtxKey] = dst
+			t.markLeaf(dst)
 		}
 		for _, cs := range src.Children {
 			e, err := r.Resolve(cs.Elem)
@@ -185,13 +187,16 @@ func RestoreTree(s TreeState, r *ElemResolver) (*Tree, error) {
 // render the copy while the live tree keeps counting.
 func (t *Tree) Clone() *Tree {
 	c := NewTree()
+	c.nextID, c.contexts, c.switches = t.nextID, t.contexts, t.switches
 	var rec func(dst, src *TreeNode)
 	rec = func(dst, src *TreeNode) {
 		dst.SelfOps = src.SelfOps
 		dst.TotalOps = src.TotalOps
 		dst.Iters = src.Iters
 		dst.CtxKey = src.CtxKey
-		if src.CtxKey != "" {
+		dst.ID = src.ID
+		dst.leaf = src.leaf
+		if src.leaf {
 			c.byCtx[src.CtxKey] = dst
 		}
 		if src == t.cur {

@@ -77,20 +77,20 @@ func (e *Engine) Snapshot() *Engine {
 	s.root = opts.Obs.StartSpan("ddg-shards-snapshot")
 	s.sc = opts.Obs.WithSpan(s.root)
 
-	sm := make(map[*ddg.Stmt]*ddg.Stmt, len(e.allStmts))
-	for _, st := range e.allStmts {
+	sm := make(map[*ddg.Stmt]*ddg.Stmt, len(e.vt.Stmts))
+	for _, st := range e.vt.Stmts {
 		cs := new(ddg.Stmt)
 		*cs = *st
 		sm[st] = cs
-		s.allStmts = append(s.allStmts, cs)
+		s.vt.Stmts = append(s.vt.Stmts, cs)
 	}
-	im := make(map[*ddg.Instr]*ddg.Instr, len(e.allInst))
-	for _, i := range e.allInst {
+	im := make(map[*ddg.Instr]*ddg.Instr, len(e.vt.Instrs))
+	for _, i := range e.vt.Instrs {
 		ci := new(ddg.Instr)
 		*ci = *i
 		ci.Stmt = sm[i.Stmt]
 		im[i] = ci
-		s.allInst = append(s.allInst, ci)
+		s.vt.Instrs = append(s.vt.Instrs, ci)
 	}
 	for _, w := range e.workers {
 		cw := &worker{

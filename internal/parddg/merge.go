@@ -176,8 +176,8 @@ func (e *Engine) FinishChecked() (*ddg.Graph, error) {
 	}
 
 	g := &ddg.Graph{
-		Stmts:    e.allStmts,
-		Instrs:   e.allInst,
+		Stmts:    e.vt.Stmts,
+		Instrs:   e.vt.Instrs,
 		TotalOps: e.totalOps,
 		MemOps:   e.memOps,
 		FPOps:    e.fpOps,
@@ -209,7 +209,7 @@ func (e *Engine) FinishChecked() (*ddg.Graph, error) {
 				}
 				return true
 			}
-			for _, s := range e.allStmts {
+			for _, s := range e.vt.Stmts {
 				if s.ID%e.n != w.id {
 					continue
 				}
@@ -222,7 +222,7 @@ func (e *Engine) FinishChecked() (*ddg.Graph, error) {
 					return
 				}
 			}
-			for _, i := range e.allInst {
+			for _, i := range e.vt.Instrs {
 				if i.ID%e.n != w.id {
 					continue
 				}

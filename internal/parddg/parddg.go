@@ -45,6 +45,7 @@ import (
 
 	"polyprof/internal/ddg"
 	"polyprof/internal/faultinject"
+	"polyprof/internal/iiv"
 	"polyprof/internal/isa"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/flight"
@@ -166,15 +167,9 @@ type Engine struct {
 	opts ddg.Options
 	n    int
 
-	// Interning state (sequencer-owned); IDs are first-appearance
-	// ordinals, identical to the sequential builder's.
-	stmts      map[string]map[isa.BlockID]*ddg.Stmt
-	instrs     map[string]map[trace.InstrRef]*ddg.Instr
-	allStmts   []*ddg.Stmt
-	allInst    []*ddg.Instr
-	cacheCtx   string
-	stmtCache  map[isa.BlockID]*ddg.Stmt
-	instrCache map[trace.InstrRef]*ddg.Instr
+	// Interning state (sequencer-owned): the sequential builder's own
+	// context table, so vertex IDs are identical by construction.
+	vt ddg.ContextTable
 
 	// Register/frame mirror (sequencer-owned).
 	frames      []frame
@@ -231,8 +226,6 @@ func NewEngine(prog *isa.Program, opt Options) *Engine {
 		prog:     prog,
 		opts:     opt.DDG,
 		n:        n,
-		stmts:    map[string]map[isa.BlockID]*ddg.Stmt{},
-		instrs:   map[string]map[trace.InstrRef]*ddg.Instr{},
 		shadow:   make([]rec, prog.MemWords),
 		lastRead: make([]rec, prog.MemWords),
 		free:     make(chan *batch, maxInflight),
@@ -390,62 +383,19 @@ func (e *Engine) ctxCoords(coords []int64) []int64 {
 // between batches is serial-stage work too) and only the blocking
 // points in dispatch/drain transition, keeping the sampled path far off
 // the per-event hot loop.
-func (e *Engine) OnInstrBatch(ctxKey string, coords []int64, evs []trace.InstrEvent, ins []*isa.Instr) {
+func (e *Engine) OnInstrBatch(ctx iiv.Ctx, coords []int64, evs []trace.InstrEvent, ins []*isa.Instr) {
 	cc := e.ctxCoords(coords)
 	for i := range evs {
 		if cc == nil {
 			cc = e.ctxCoords(coords)
 		}
-		cc = e.addEvent(ctxKey, cc, evs[i], ins[i])
+		cc = e.addEvent(ctx, cc, evs[i], ins[i])
 	}
 }
 
 // OnInstr implements core.InstrSink (the unbatched path).
-func (e *Engine) OnInstr(ctxKey string, coords []int64, ev trace.InstrEvent, in *isa.Instr) {
-	e.addEvent(ctxKey, e.ctxCoords(coords), ev, in)
-}
-
-func (e *Engine) stmtFor(ctx string, blk isa.BlockID, depth int) *ddg.Stmt {
-	if ctx != e.cacheCtx {
-		e.cacheCtx = ctx
-		e.stmtCache = map[isa.BlockID]*ddg.Stmt{}
-		e.instrCache = map[trace.InstrRef]*ddg.Instr{}
-	}
-	if s, ok := e.stmtCache[blk]; ok {
-		return s
-	}
-	byBlk := e.stmts[ctx]
-	if byBlk == nil {
-		byBlk = map[isa.BlockID]*ddg.Stmt{}
-		e.stmts[ctx] = byBlk
-	}
-	s, ok := byBlk[blk]
-	if !ok {
-		s = &ddg.Stmt{ID: len(e.allStmts), Block: blk, Ctx: ctx, Depth: depth}
-		byBlk[blk] = s
-		e.allStmts = append(e.allStmts, s)
-	}
-	e.stmtCache[blk] = s
-	return s
-}
-
-func (e *Engine) instrFor(ctx string, ref trace.InstrRef, in *isa.Instr, stmt *ddg.Stmt) *ddg.Instr {
-	if i, ok := e.instrCache[ref]; ok {
-		return i
-	}
-	byRef := e.instrs[ctx]
-	if byRef == nil {
-		byRef = map[trace.InstrRef]*ddg.Instr{}
-		e.instrs[ctx] = byRef
-	}
-	i, ok := byRef[ref]
-	if !ok {
-		i = ddg.NewInstr(len(e.allInst), ref, ctx, in, stmt)
-		byRef[ref] = i
-		e.allInst = append(e.allInst, i)
-	}
-	e.instrCache[ref] = i
-	return i
+func (e *Engine) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *isa.Instr) {
+	e.addEvent(ctx, e.ctxCoords(coords), ev, in)
 }
 
 // addEvent is the sequencer's per-event path: everything the
@@ -453,16 +403,15 @@ func (e *Engine) instrFor(ctx string, ref trace.InstrRef, in *isa.Instr, stmt *d
 // which ship to the workers.  Returns the context-coordinate slice to
 // use for the next event of the same run (nil after a dispatch, so the
 // caller re-copies into the fresh batch).
-func (e *Engine) addEvent(ctxKey string, cc []int64, ev trace.InstrEvent, in *isa.Instr) []int64 {
+func (e *Engine) addEvent(ctx iiv.Ctx, cc []int64, ev trace.InstrEvent, in *isa.Instr) []int64 {
 	e.totalOps++
 	if in.Op.IsFP() {
 		e.fpOps++
 	}
-	stmt := e.stmtFor(ctxKey, ev.Ref.Block, len(cc))
+	stmt, instr := e.vt.Resolve(ctx, ev.Ref, in, len(cc))
 	if ev.Ref.Index == 0 {
 		stmt.Count++
 	}
-	instr := e.instrFor(ctxKey, ev.Ref, in, stmt)
 	instr.Count++
 
 	b := e.cur

@@ -372,3 +372,56 @@ func TestSlowJobWatchdogWritesBundle(t *testing.T) {
 		t.Fatalf("slow-job bundle names job %q, want %q", slow.Job, sum.ID)
 	}
 }
+
+// TestIIVContextMetrics: the schedule tree's per-run counters — distinct
+// leaf contexts and context switches — reach the request's metrics, the
+// daemon's /metrics, and the registry snapshot in a flight bundle.
+func TestIIVContextMetrics(t *testing.T) {
+	t.Cleanup(faultinject.DisarmAll)
+	_, ts, dir := newFlightServer(t, Options{})
+	resp, body := postProfile(t, ts, "workload=example1&metrics=1")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	req := counterMap(t, body)
+	contexts, switches := req["iiv.contexts"], req["iiv.ctx_switches"]
+	if contexts == 0 || switches < contexts {
+		t.Fatalf("request metrics: iiv.contexts = %d, iiv.ctx_switches = %d", contexts, switches)
+	}
+	named := func(cs []obs.NamedUint) map[string]uint64 {
+		out := map[string]uint64{}
+		for _, c := range cs {
+			out[c.Name] = c.Value
+		}
+		return out
+	}
+
+	_, body = get(t, ts, "/metrics?format=json")
+	var snap obs.Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if m := named(snap.Counters); m["iiv.contexts"] != contexts || m["iiv.ctx_switches"] != switches {
+		t.Errorf("/metrics: iiv.contexts = %d, iiv.ctx_switches = %d; the request saw %d, %d",
+			m["iiv.contexts"], m["iiv.ctx_switches"], contexts, switches)
+	}
+
+	if err := faultinject.ArmString("serve.handler=panic:boom:1"); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postProfile(t, ts, "workload=example1"); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500: %s", resp.StatusCode, body)
+	}
+	infos := waitBundles(t, dir, 1)
+	b, err := flight.ReadBundle(dir, infos[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Metrics == nil {
+		t.Fatal("bundle carries no metrics snapshot")
+	}
+	if m := named(b.Metrics.Counters); m["iiv.contexts"] != contexts || m["iiv.ctx_switches"] != switches {
+		t.Errorf("flight bundle: iiv.contexts = %d, iiv.ctx_switches = %d, want %d, %d",
+			m["iiv.contexts"], m["iiv.ctx_switches"], contexts, switches)
+	}
+}
