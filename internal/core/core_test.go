@@ -112,12 +112,16 @@ func (c *countingSink) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent,
 }
 
 // TestFitterPathCounters profiles srad_v2 twice and checks the fold
-// fitter's per-path sample counters: they repeat exactly, and every
-// sample the fitters were fed is counted on exactly one path.
+// fitter's per-path sample counters: they repeat exactly, every sample
+// the fitters were fed is counted on exactly one path, and each path
+// takes the committed number of samples.  The counts are deterministic
+// work counters, so a change that sends in-span samples back to
+// elimination fails here.
 func TestFitterPathCounters(t *testing.T) {
 	prog := workloads.ByName("srad_v2").Build()
-	paths := []string{"fold.fitter.samples.solved", "fold.fitter.samples.int64", "fold.fitter.samples.wide"}
-	var runs [2][3]uint64
+	paths := []string{"fold.fitter.samples.solved", "fold.fitter.samples.screened", "fold.fitter.samples.int64", "fold.fitter.samples.wide"}
+	golden := [4]uint64{102803, 114272, 3001, 0}
+	var runs [2][4]uint64
 	for i := range runs {
 		reg := obs.NewRegistry()
 		reg.SetEnabled(true)
@@ -138,5 +142,7 @@ func TestFitterPathCounters(t *testing.T) {
 	if runs[0] != runs[1] {
 		t.Errorf("path counts differ between runs: %v vs %v", runs[0], runs[1])
 	}
-	t.Logf("srad_v2 fitter samples: solved=%d int64=%d wide=%d", runs[0][0], runs[0][1], runs[0][2])
+	if runs[0] != golden {
+		t.Errorf("srad_v2 path counts (solved, screened, int64, wide) = %v, want %v", runs[0], golden)
+	}
 }

@@ -213,9 +213,14 @@ type frame struct {
 	retDst isa.Reg // destination register in the caller
 }
 
-type depKey struct {
-	src, dst int
-	kind     Kind
+// inbox is one destination instruction's incoming dependence bundles,
+// found by a scan for (source, kind) instead of a hash.  In-degrees are
+// small (11 at most over the bundled workloads), but a program can
+// raise one up to its static instruction count, so the bundle hit last
+// is tried first.
+type inbox struct {
+	deps []*Dep
+	last int
 }
 
 // Graph is the folded dynamic dependence graph of one execution.
@@ -242,8 +247,8 @@ type Builder struct {
 	opts Options
 
 	vt      ContextTable
-	deps    map[depKey]*Dep
-	allDeps []*Dep
+	in      []inbox // incoming bundles by destination instruction ID
+	allDeps []*Dep  // every bundle, in creation order
 
 	shadow   []writerRec // last writer per word
 	lastRead []writerRec // last reader per word
@@ -287,7 +292,6 @@ func NewBuilder(prog *isa.Program, opts Options) *Builder {
 	b := &Builder{
 		prog:     prog,
 		opts:     opts,
-		deps:     map[depKey]*Dep{},
 		shadow:   make([]writerRec, prog.MemWords),
 		lastRead: make([]writerRec, prog.MemWords),
 	}
@@ -348,11 +352,35 @@ func (b *Builder) OnControl(ev trace.ControlEvent) {
 	}
 }
 
+// bundle returns the (src, dst, kind) dependence bundle.  A new bundle
+// is created empty and appended to allDeps; created tells the caller to
+// charge the edge budget and set it up.
+func (b *Builder) bundle(src, dst *Instr, kind Kind) (d *Dep, created bool) {
+	if n := dst.ID + 1; n > len(b.in) {
+		b.in = append(b.in, make([]inbox, n-len(b.in))...)
+	}
+	ib := &b.in[dst.ID]
+	if ib.last < len(ib.deps) {
+		if d := ib.deps[ib.last]; d.Src == src && d.Kind == kind {
+			return d, false
+		}
+	}
+	for i, d := range ib.deps {
+		if d.Src == src && d.Kind == kind {
+			ib.last = i
+			return d, false
+		}
+	}
+	d = &Dep{Src: src, Dst: dst, Kind: kind}
+	ib.last = len(ib.deps)
+	ib.deps = append(ib.deps, d)
+	b.allDeps = append(b.allDeps, d)
+	return d, true
+}
+
 func (b *Builder) addDep(src *Instr, srcCoords []int64, dst *Instr, dstCoords []int64, kind Kind) {
-	key := depKey{src: src.ID, dst: dst.ID, kind: kind}
-	d, ok := b.deps[key]
-	if !ok {
-		d = &Dep{Src: src, Dst: dst, Kind: kind}
+	d, created := b.bundle(src, dst, kind)
+	if created {
 		if b.opts.Budget.GrantEdges(1) {
 			mf := fold.NewMultiFolder(dst.Depth, src.Depth, fold.DefaultMaxPieces)
 			mf.Obs = b.opts.Obs
@@ -363,8 +391,6 @@ func (b *Builder) addDep(src *Instr, srcCoords []int64, dst *Instr, dstCoords []
 			d.Degraded = true
 			d.box = &coordBox{}
 		}
-		b.deps[key] = d
-		b.allDeps = append(b.allDeps, d)
 	}
 	d.Count++
 	if d.folder != nil {

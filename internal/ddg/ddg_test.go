@@ -348,3 +348,34 @@ func TestStatementDomains(t *testing.T) {
 		t.Error("domain must exclude j > i")
 	}
 }
+
+// TestRestoreRejectsRepeatedBundle: a checkpoint naming the same
+// (source, destination, kind) bundle twice is malformed, and restoring
+// it fails instead of keeping two bundles.
+func TestRestoreRejectsRepeatedBundle(t *testing.T) {
+	prog := workloads.ByName("example1").Build()
+	opts := core.DefaultRunOptions()
+	opts.EpochEvents = 40
+	var mid *core.Checkpoint
+	opts.OnEpoch = func(ep *core.Epoch) error {
+		if mid == nil && ep.Checkpoint != nil {
+			var err error
+			mid, err = core.DecodeCheckpoint(ep.Checkpoint)
+			return err
+		}
+		return nil
+	}
+	if _, err := core.Run(prog, opts); err != nil {
+		t.Fatal(err)
+	}
+	if mid == nil || len(mid.DDG.Deps) == 0 {
+		t.Fatal("no checkpoint with dependences")
+	}
+	if _, err := ddg.RestoreBuilder(prog, ddg.DefaultOptions(), mid.DDG); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	mid.DDG.Deps = append(mid.DDG.Deps, mid.DDG.Deps[0])
+	if _, err := ddg.RestoreBuilder(prog, ddg.DefaultOptions(), mid.DDG); err == nil || !strings.Contains(err.Error(), "repeats dependence") {
+		t.Fatalf("restore of a repeated bundle: err = %v", err)
+	}
+}

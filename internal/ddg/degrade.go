@@ -246,17 +246,13 @@ func (b *Builder) coarseEvent(instr *Instr, coords []int64, addr int64, write bo
 	}
 }
 
-// addCoarseDep merges one range-pairing edge into the dependence map.
+// addCoarseDep merges one range-pairing edge into its bundle.
 // consumerBox is the consumer's coordinate box (the dependence piece
 // domain lives in consumer coordinates).
 func (b *Builder) addCoarseDep(src, dst *Instr, kind Kind, consumerBox *coordBox) {
-	key := depKey{src: src.ID, dst: dst.ID, kind: kind}
-	d, ok := b.deps[key]
-	if !ok {
+	d, created := b.bundle(src, dst, kind)
+	if created {
 		b.opts.Budget.GrantEdges(1)
-		d = &Dep{Src: src, Dst: dst, Kind: kind}
-		b.deps[key] = d
-		b.allDeps = append(b.allDeps, d)
 	}
 	d.Degraded = true
 	if d.box == nil {

@@ -46,7 +46,6 @@ func (b *Builder) Clone() *Builder {
 	c := &Builder{
 		prog:          b.prog,
 		opts:          opts,
-		deps:          map[depKey]*Dep{},
 		totalOps:      b.totalOps,
 		memOps:        b.memOps,
 		fpOps:         b.fpOps,
@@ -84,7 +83,8 @@ func (b *Builder) Clone() *Builder {
 		c.vt.Instrs = append(c.vt.Instrs, ci)
 	}
 	for _, d := range b.allDeps {
-		cd := &Dep{Src: im[d.Src], Dst: im[d.Dst], Kind: d.Kind, Count: d.Count, Degraded: d.Degraded}
+		cd, _ := c.bundle(im[d.Src], im[d.Dst], d.Kind)
+		cd.Count, cd.Degraded = d.Count, d.Degraded
 		if d.folder != nil {
 			cd.folder = d.folder.Clone()
 			cd.folder.Obs = opts.Obs
@@ -92,8 +92,6 @@ func (b *Builder) Clone() *Builder {
 		if d.box != nil {
 			cd.box = cloneBox(d.box)
 		}
-		c.deps[depKey{src: d.Src.ID, dst: d.Dst.ID, kind: d.Kind}] = cd
-		c.allDeps = append(c.allDeps, cd)
 	}
 	if b.coarse != nil {
 		c.coarse = &coarseState{ranges: map[int64]*coarseRange{}, events: b.coarse.events}
@@ -173,13 +171,9 @@ func (b *Builder) staleDeps(instr *Instr, coords []int64, addr int64, needW, nee
 // consumer coordinates, like a coarse edge, but NOT marked Degraded —
 // releasing was a deliberate accuracy/memory trade, not a budget trip.
 func (b *Builder) addStaleDep(src, dst *Instr, kind Kind, dstCoords []int64) {
-	key := depKey{src: src.ID, dst: dst.ID, kind: kind}
-	d, ok := b.deps[key]
-	if !ok {
+	d, created := b.bundle(src, dst, kind)
+	if created {
 		b.opts.Budget.GrantEdges(1)
-		d = &Dep{Src: src, Dst: dst, Kind: kind}
-		b.deps[key] = d
-		b.allDeps = append(b.allDeps, d)
 	}
 	d.Count++
 	if d.box == nil {
@@ -536,7 +530,11 @@ func RestoreBuilder(prog *isa.Program, opts Options, s *BuilderState) (*Builder,
 		if err != nil {
 			return nil, err
 		}
-		d := &Dep{Src: src, Dst: dst, Kind: Kind(ds.Kind), Count: ds.Count, Degraded: ds.Degraded}
+		d, created := b.bundle(src, dst, Kind(ds.Kind))
+		if !created {
+			return nil, fmt.Errorf("ddg: checkpoint repeats dependence I%d -> I%d (%v)", ds.Src, ds.Dst, d.Kind)
+		}
+		d.Count, d.Degraded = ds.Count, ds.Degraded
 		if ds.Folder != nil {
 			mf, err := fold.RestoreMultiFolder(*ds.Folder)
 			if err != nil {
@@ -549,8 +547,6 @@ func RestoreBuilder(prog *isa.Program, opts Options, s *BuilderState) (*Builder,
 			d.box = restoreBox(*ds.Box)
 		}
 		opts.Budget.GrantEdges(1)
-		b.deps[depKey{src: src.ID, dst: dst.ID, kind: d.Kind}] = d
-		b.allDeps = append(b.allDeps, d)
 	}
 	restoreRecs := func(dst []writerRec, src []RecState) error {
 		for _, rs := range src {

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 
 	"polyprof/internal/poly"
 )
@@ -22,8 +23,10 @@ import (
 // x in Z^m lies on an affine function y = c·x + k, by exact
 // fraction-free Gaussian elimination over the integers.  Adding samples
 // is cheap once the function is determined (integer evaluation); before
-// that, each sample is reduced against a basis of the independent
-// samples seen so far, and an independent sample extends the basis.
+// that, a sample the basis of independent samples seen so far already
+// spans is recognized by a few dot products with the basis's orthogonal
+// complement, and any other sample is reduced against the basis, which
+// an independent sample extends.
 //
 // The basis is kept in overflow-checked int64 arithmetic.  A fitter
 // whose numbers outgrow int64 is promoted, for the rest of its life, to
@@ -53,13 +56,24 @@ type Fitter struct {
 	mat []int64
 	// wide replaces mat after promotion, with the same row layout.
 	wide [][]*big.Int
-	// checked is set while the scratch row holds the int64 reduction
-	// (pivot column checkLead) of the sample the last Check tested,
-	// which Check also copies into row m+1.  MultiFolder checks a point
-	// against a piece right before adding it there, and that Add picks
-	// the reduction up instead of redoing it.
-	checked   bool
-	checkLead int
+
+	// comp spans the orthogonal complement of the int64 basis's row
+	// space: nComp vectors of m+2 entries, one per free column (see
+	// buildComp).  compRank is the rank it was built for (0: never, as
+	// a basis is non-empty), compBits the bit length of its largest
+	// entry, or 64 when an entry overflowed and the screen is off.
+	// Derived state: rebuilt when the rank changes, never serialized.
+	comp     []int64
+	nComp    int
+	compRank int
+	compBits int
+
+	// verdict is the path by which the last Check accepted its sample
+	// without changing any state (pathSolved or pathScreened), else
+	// zero.  commit counts such a sample instead of deciding it again.
+	// Every Check, Add and commit resets it, so a verdict never
+	// outlives the sample it was given for.
+	verdict uint8
 
 	// solved is the integer affine function once determined ("decided"
 	// the moment the basis reaches full rank).
@@ -67,10 +81,17 @@ type Fitter struct {
 	nSamples int
 
 	// Samples fed by this process, split by the path that decided them
-	// (evaluation of the solved function, int64 or big.Int
-	// elimination).  Work counters for metrics, not checkpointed.
-	nSolved, nInt64, nWide int
+	// (evaluation of the solved function, the complement screen, int64
+	// or big.Int elimination).  Work counters for metrics, not
+	// checkpointed.
+	nSolved, nScreened, nInt64, nWide int
 }
+
+// Check verdicts: the sample was accepted without a state change.
+const (
+	pathSolved = 1 + iota
+	pathScreened
+)
 
 // NewFitter creates a fitter for x in Z^m.
 func NewFitter(m int) *Fitter {
@@ -87,12 +108,11 @@ func (f *Fitter) Samples() int { return f.nSamples }
 // Add feeds one sample; returns false once the stream is known to be
 // non-affine.
 func (f *Fitter) Add(x []int64, y int64) bool {
+	f.verdict = 0
 	if f.failed {
 		return false
 	}
 	f.nSamples++
-	checked := f.checked
-	f.checked = false
 	if f.solved != nil {
 		f.nSolved++
 		if f.solved.Eval(x) != y {
@@ -100,16 +120,16 @@ func (f *Fitter) Add(x []int64, y int64) bool {
 		}
 		return !f.failed
 	}
+	if f.screen(x, y) {
+		f.nScreened++
+		return true
+	}
 	var lead int
 	if f.wide != nil {
 		lead = f.reduceWide(x, y)
 	} else {
-		ok := checked && f.isChecked(x, y)
-		if ok {
-			lead = f.checkLead
-		} else {
-			lead, ok = f.reduce64(x, y)
-		}
+		var ok bool
+		lead, ok = f.reduce64(x, y)
 		if ok && f.extend64(lead) {
 			f.nInt64++
 			return !f.failed
@@ -133,23 +153,47 @@ func (f *Fitter) Add(x []int64, y int64) bool {
 // must not reduce the sample to a contradiction (rank extension is
 // consistent).
 func (f *Fitter) Check(x []int64, y int64) bool {
+	f.verdict = 0
 	if f.failed {
 		return false
 	}
 	if f.solved != nil {
-		return f.solved.Eval(x) == y
+		if f.solved.Eval(x) != y {
+			return false
+		}
+		f.verdict = pathSolved
+		return true
+	}
+	if f.screen(x, y) {
+		f.verdict = pathScreened
+		return true
 	}
 	if f.wide == nil {
 		if lead, ok := f.reduce64(x, y); ok {
-			c := f.row64(f.m + 1)
-			copy(c, x[:f.m])
-			c[f.m] = y
-			f.checked, f.checkLead = true, lead
 			return lead >= 0 || f.row64(len(f.pivot))[f.m+1] == 0
 		}
 		f.promote()
 	}
 	return f.reduceWide(x, y) >= 0 || f.wide[len(f.pivot)][f.m+1].Sign() == 0
+}
+
+// commit feeds the sample the last Check accepted.  A sample Check
+// accepted without a state change is only counted; any other is
+// decided again by Add.  Only Folder.addChecked calls it, right after
+// checkLabels passed the same sample through Check; plain Add never
+// trusts a verdict.
+func (f *Fitter) commit(x []int64, y int64) {
+	switch f.verdict {
+	case pathSolved:
+		f.nSolved++
+	case pathScreened:
+		f.nScreened++
+	default:
+		f.Add(x, y)
+		return
+	}
+	f.verdict = 0
+	f.nSamples++
 }
 
 // pivotCol is the column tried i-th when choosing a new row's pivot.
@@ -164,17 +208,6 @@ func pivotCol(m, i int) int {
 	return i - 1
 }
 
-// isChecked reports whether (x, y) is the sample the last Check stored.
-func (f *Fitter) isChecked(x []int64, y int64) bool {
-	c := f.row64(f.m + 1)
-	for i := 0; i < f.m; i++ {
-		if c[i] != x[i] {
-			return false
-		}
-	}
-	return c[f.m] == y
-}
-
 func (f *Fitter) fail() {
 	f.failed = true
 	f.clearBasis()
@@ -182,7 +215,7 @@ func (f *Fitter) fail() {
 }
 
 func (f *Fitter) clearBasis() {
-	f.pivot, f.mat, f.wide = nil, nil, nil
+	f.pivot, f.mat, f.wide, f.comp = nil, nil, nil, nil
 }
 
 func (f *Fitter) row64(i int) []int64 {
@@ -196,7 +229,11 @@ func (f *Fitter) row64(i int) []int64 {
 // int64 overflow.
 func (f *Fitter) reduce64(x []int64, y int64) (int, bool) {
 	if f.mat == nil {
-		f.mat = make([]int64, (f.m+2)*(f.m+2))
+		// One allocation for the basis and its complement, which has
+		// at most m+1 vectors once the basis holds a row.
+		w := f.m + 2
+		buf := make([]int64, (2*w-1)*w)
+		f.mat, f.comp = buf[:w*w:w*w], buf[w*w:]
 		f.pivot = make([]int, 0, f.m+1)
 	}
 	v := f.row64(len(f.pivot))
@@ -371,6 +408,96 @@ func normalize64(v []int64, pivot int) {
 	}
 }
 
+// screen reports whether the sample row v = [x..., 1 | y] lies in the
+// row space of the int64 basis, i.e. whether it is redundant and
+// consistent, which leaves Add and Check nothing to do.  Over Q the row
+// space is exactly the set of vectors orthogonal to its complement, and
+// v lies in it exactly when elimination would reduce it to zero, so
+// true is the very decision elimination would reach.  false means "not
+// shown": the sample is independent or contradictory, or the test is
+// off (no int64 basis, an overflowed complement, or dot products that
+// might overflow), and elimination decides as before.
+func (f *Fitter) screen(x []int64, y int64) bool {
+	if f.mat == nil || len(f.pivot) == 0 {
+		return false
+	}
+	if f.compRank != len(f.pivot) {
+		f.buildComp()
+	}
+	// Each of the m+2 products is below 2^(compBits+bits(|v|)), so the
+	// sums stay in int64 when that plus bits(m+2) is at most 63.
+	mag := 1 | uint64(abs64(y))
+	for _, e := range x[:f.m] {
+		mag |= uint64(abs64(e))
+	}
+	w := f.m + 2
+	if f.compBits+bits.Len64(mag)+bits.Len(uint(w)) > 63 {
+		return false
+	}
+	for k := 0; k < f.nComp; k++ {
+		z := f.comp[k*w : (k+1)*w]
+		d := z[f.m] + z[f.m+1]*y
+		for i, e := range x[:f.m] {
+			d += z[i] * e
+		}
+		if d != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// buildComp rebuilds comp for the current basis.  In reduced
+// row-echelon form row i reads r[p_i]·c_{p_i} + sum over free columns
+// j of r[j]·c_j, so every free column j (the right-hand side column
+// included) yields the null vector z with z_j = L and
+// z_{p_i} = −L·r_i[j]/r_i[p_i], L being the LCM of the pivots of the
+// rows with r_i[j] ≠ 0, and zero elsewhere.  These m+2−rank vectors are
+// independent, so they span the complement.  Each is made primitive;
+// on int64 overflow compBits stays 64, which turns the screen off until
+// the rank changes.
+func (f *Fitter) buildComp() {
+	w := f.m + 2
+	if f.comp == nil {
+		f.comp = make([]int64, (w-1)*w)
+	}
+	f.compRank, f.nComp, f.compBits = len(f.pivot), 0, 64
+	var mag uint64
+	for j := 0; j < w; j++ {
+		if slices.Contains(f.pivot, j) {
+			continue
+		}
+		z := f.comp[f.nComp*w : (f.nComp+1)*w]
+		f.nComp++
+		clear(z)
+		l := int64(1)
+		for i, p := range f.pivot {
+			if r := f.row64(i); r[j] != 0 {
+				var ok bool
+				if l, ok = mul64(l/gcd64(l, r[p]), r[p]); !ok {
+					return
+				}
+			}
+		}
+		z[j] = l
+		for i, p := range f.pivot {
+			r := f.row64(i)
+			if r[j] != 0 {
+				e, ok := mul64(l/r[p], r[j])
+				if !ok {
+					return
+				}
+				z[p] = -e
+			}
+		}
+		normalize64(z, j)
+		for _, e := range z {
+			mag |= uint64(abs64(e))
+		}
+	}
+	f.compBits = bits.Len64(mag)
+}
+
 // promote moves the basis (and the scratch row) from int64 to big.Int.
 func (f *Fitter) promote() {
 	w := f.m + 2
@@ -382,7 +509,7 @@ func (f *Fitter) promote() {
 		}
 		f.wide[i] = row
 	}
-	f.mat = nil
+	f.mat, f.comp = nil, nil
 }
 
 // reduceWide is reduce64 over big.Int.

@@ -43,6 +43,9 @@ func (f *Fitter) Clone() *Fitter {
 	if f.mat != nil {
 		c.mat = append([]int64(nil), f.mat...)
 	}
+	if f.comp != nil {
+		c.comp = append([]int64(nil), f.comp...)
+	}
 	if f.wide != nil {
 		c.wide = make([][]*big.Int, len(f.wide))
 		for i, r := range f.wide {

@@ -179,12 +179,23 @@ func (f *Folder) materialize() {
 	buf := f.buf
 	f.buf = nil
 	for _, p := range buf {
-		f.add(p.coords, p.label)
+		f.add(p.coords, p.label, false)
 	}
 }
 
 // Add feeds one point.  label must have the folder's label width.
 func (f *Folder) Add(coords []int64, label []int64) {
+	f.addPoint(coords, label, false)
+}
+
+// addChecked is Add for a point checkLabels has just accepted: the
+// label fitters commit the samples their Check decided instead of
+// deciding them again.  Only MultiFolder calls it.
+func (f *Folder) addChecked(coords []int64, label []int64) {
+	f.addPoint(coords, label, true)
+}
+
+func (f *Folder) addPoint(coords []int64, label []int64, checked bool) {
 	if ownershipChecks.Load() {
 		f.g.enter("Folder.Add")
 		defer f.g.leave()
@@ -206,16 +217,24 @@ func (f *Folder) Add(coords []int64, label []int64) {
 			f.buf = append(f.buf, bp)
 			return
 		}
+		// checkLabels accepted the point without consulting the
+		// fitters, so there is no verdict to commit.
 		f.materialize()
+		checked = false
 	}
-	f.add(coords, label)
+	f.add(coords, label, checked)
 }
 
-// add is the incremental recognizer behind Add.
-func (f *Folder) add(coords []int64, label []int64) {
+// add is the incremental recognizer behind Add; checked commits the
+// label samples the fitters' last Check decided.
+func (f *Folder) add(coords []int64, label []int64, checked bool) {
 	f.total++
-	for i := range f.labelFit {
-		f.labelFit[i].Add(coords, label[i])
+	for i, fit := range f.labelFit {
+		if checked {
+			fit.commit(coords, label[i])
+		} else {
+			fit.Add(coords, label[i])
+		}
 	}
 	if !f.started {
 		f.started = true
@@ -427,10 +446,10 @@ func (f *Folder) finishSmall() (Piece, bool) {
 // noteFinish publishes fold-outcome metrics: how many streams folded,
 // whether each came out exact-affine or as a bounding-box
 // over-approximation, and how the stream's fitters decided their
-// samples (fold.fitter.samples.{solved,int64,wide}: this process's
-// samples by path; fold.fitter.samples: all samples the fitters hold,
-// which on a resumed stream includes those restored from a
-// checkpoint).  Called once per stream (at Finish), never on the
+// samples (fold.fitter.samples.{solved,screened,int64,wide}: this
+// process's samples by path; fold.fitter.samples: all samples the
+// fitters hold, which on a resumed stream includes those restored from
+// a checkpoint).  Called once per stream (at Finish), never on the
 // per-point path.
 func (f *Folder) noteFinish(p Piece) {
 	if !f.Obs.Enabled() {
@@ -444,11 +463,12 @@ func (f *Folder) noteFinish(p Piece) {
 	}
 	f.Obs.Observe("fold.stream.points", p.Points)
 
-	var total, solved, int64s, wide int
+	var total, solved, screened, int64s, wide int
 	note := func(fit *Fitter) {
 		if fit != nil {
 			total += fit.nSamples
 			solved += fit.nSolved
+			screened += fit.nScreened
 			int64s += fit.nInt64
 			wide += fit.nWide
 		}
@@ -462,6 +482,7 @@ func (f *Folder) noteFinish(p Piece) {
 	}
 	f.Obs.Add("fold.fitter.samples", uint64(total))
 	f.Obs.Add("fold.fitter.samples.solved", uint64(solved))
+	f.Obs.Add("fold.fitter.samples.screened", uint64(screened))
 	f.Obs.Add("fold.fitter.samples.int64", uint64(int64s))
 	f.Obs.Add("fold.fitter.samples.wide", uint64(wide))
 }

@@ -71,7 +71,7 @@ func (m *MultiFolder) Add(coords, label []int64) {
 	m.points++
 	for _, p := range m.pieces {
 		if p.checkLabels(coords, label) {
-			p.Add(coords, label)
+			p.addChecked(coords, label)
 			return
 		}
 	}

@@ -181,3 +181,36 @@ func (f *ratFitter) state() FitterState {
 	s.Pivot = append([]int(nil), f.pivot...)
 	return s
 }
+
+// clone deep-copies the reference (its entries are never mutated in
+// place, so rows can share them).
+func (f *ratFitter) clone() *ratFitter {
+	c := *f
+	c.rows = nil
+	for _, r := range f.rows {
+		c.rows = append(c.rows, append([]*big.Rat(nil), r...))
+	}
+	c.pivot = append([]int(nil), f.pivot...)
+	if f.solved != nil {
+		e := f.solved.Clone()
+		c.solved = &e
+	}
+	return &c
+}
+
+// restoreRatFitter loads a checkpointed basis into the reference.
+func restoreRatFitter(s FitterState) *ratFitter {
+	f := &ratFitter{m: s.M, failed: s.Failed, nSamples: s.NSamples, pivot: append([]int(nil), s.Pivot...)}
+	if s.Solved != nil {
+		e := s.Solved.Clone()
+		f.solved = &e
+	}
+	for _, row := range s.Rows {
+		r := make([]*big.Rat, len(row))
+		for j, v := range row {
+			r[j], _ = new(big.Rat).SetString(v)
+		}
+		f.rows = append(f.rows, r)
+	}
+	return f
+}

@@ -358,6 +358,35 @@ func (p *Program) FuncByName(name string) *Func {
 	return nil
 }
 
+// Clone returns a deep copy of the program that shares no mutable
+// memory with it.  It equals what a round trip through EncodeJSON and
+// DecodeJSON yields for any program that encodes: empty slices and maps
+// come out nil, as decoding leaves them.
+func (p *Program) Clone() *Program {
+	q := &Program{Name: p.Name, Main: p.Main, MemWords: p.MemWords}
+	if len(p.Globals) > 0 {
+		q.Globals = make(map[string]Global, len(p.Globals))
+		for name, g := range p.Globals {
+			q.Globals[name] = g
+		}
+	}
+	for _, f := range p.Funcs {
+		cf := *f
+		cf.Blocks = append([]BlockID(nil), f.Blocks...)
+		q.Funcs = append(q.Funcs, &cf)
+	}
+	for _, b := range p.Blocks {
+		cb := *b
+		cb.Code = append([]Instr(nil), b.Code...)
+		for k := range cb.Code {
+			in := &cb.Code[k]
+			in.Args = append([]Reg(nil), in.Args...)
+		}
+		q.Blocks = append(q.Blocks, &cb)
+	}
+	return q
+}
+
 // MaxRegsPerFunc caps a function's register frame.  The VM allocates
 // NumRegs words per call frame, so an unchecked hostile program could
 // request absurd frames; no generated workload comes near this.

@@ -373,10 +373,11 @@ func TestSlowJobWatchdogWritesBundle(t *testing.T) {
 	}
 }
 
-// TestIIVContextMetrics: the schedule tree's per-run counters — distinct
-// leaf contexts and context switches — reach the request's metrics, the
-// daemon's /metrics, and the registry snapshot in a flight bundle.
-func TestIIVContextMetrics(t *testing.T) {
+// checkRunCounters profiles example1 with request metrics on, passes
+// the request's counters to check, and requires the named counters to
+// reach the daemon's /metrics and the registry snapshot of a flight
+// bundle with the values the request saw.
+func checkRunCounters(t *testing.T, names []string, check func(req map[string]uint64)) {
 	t.Cleanup(faultinject.DisarmAll)
 	_, ts, dir := newFlightServer(t, Options{})
 	resp, body := postProfile(t, ts, "workload=example1&metrics=1")
@@ -384,10 +385,7 @@ func TestIIVContextMetrics(t *testing.T) {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
 	req := counterMap(t, body)
-	contexts, switches := req["iiv.contexts"], req["iiv.ctx_switches"]
-	if contexts == 0 || switches < contexts {
-		t.Fatalf("request metrics: iiv.contexts = %d, iiv.ctx_switches = %d", contexts, switches)
-	}
+	check(req)
 	named := func(cs []obs.NamedUint) map[string]uint64 {
 		out := map[string]uint64{}
 		for _, c := range cs {
@@ -401,9 +399,11 @@ func TestIIVContextMetrics(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if m := named(snap.Counters); m["iiv.contexts"] != contexts || m["iiv.ctx_switches"] != switches {
-		t.Errorf("/metrics: iiv.contexts = %d, iiv.ctx_switches = %d; the request saw %d, %d",
-			m["iiv.contexts"], m["iiv.ctx_switches"], contexts, switches)
+	m := named(snap.Counters)
+	for _, name := range names {
+		if m[name] != req[name] {
+			t.Errorf("/metrics: %s = %d; the request saw %d", name, m[name], req[name])
+		}
 	}
 
 	if err := faultinject.ArmString("serve.handler=panic:boom:1"); err != nil {
@@ -420,8 +420,38 @@ func TestIIVContextMetrics(t *testing.T) {
 	if b.Metrics == nil {
 		t.Fatal("bundle carries no metrics snapshot")
 	}
-	if m := named(b.Metrics.Counters); m["iiv.contexts"] != contexts || m["iiv.ctx_switches"] != switches {
-		t.Errorf("flight bundle: iiv.contexts = %d, iiv.ctx_switches = %d, want %d, %d",
-			m["iiv.contexts"], m["iiv.ctx_switches"], contexts, switches)
+	m = named(b.Metrics.Counters)
+	for _, name := range names {
+		if m[name] != req[name] {
+			t.Errorf("flight bundle: %s = %d, want %d", name, m[name], req[name])
+		}
 	}
+}
+
+// TestIIVContextMetrics: the schedule tree's per-run counters — distinct
+// leaf contexts and context switches — reach the request's metrics, the
+// daemon's /metrics, and the registry snapshot in a flight bundle.
+func TestIIVContextMetrics(t *testing.T) {
+	checkRunCounters(t, []string{"iiv.contexts", "iiv.ctx_switches"}, func(req map[string]uint64) {
+		if contexts, switches := req["iiv.contexts"], req["iiv.ctx_switches"]; contexts == 0 || switches < contexts {
+			t.Fatalf("request metrics: iiv.contexts = %d, iiv.ctx_switches = %d", contexts, switches)
+		}
+	})
+}
+
+// TestFitterPathMetrics: the fold fitter's per-path sample counters,
+// the complement screen's included, reach the request's metrics, the
+// daemon's /metrics and flight bundles, and the four paths account for
+// every sample.
+func TestFitterPathMetrics(t *testing.T) {
+	paths := []string{"fold.fitter.samples.solved", "fold.fitter.samples.screened", "fold.fitter.samples.int64", "fold.fitter.samples.wide"}
+	checkRunCounters(t, append(paths, "fold.fitter.samples"), func(req map[string]uint64) {
+		var sum uint64
+		for _, name := range paths {
+			sum += req[name]
+		}
+		if total := req["fold.fitter.samples"]; sum != total || req["fold.fitter.samples.screened"] == 0 {
+			t.Fatalf("request metrics: paths sum to %d of %d samples, %d screened", sum, total, req["fold.fitter.samples.screened"])
+		}
+	})
 }
