@@ -22,8 +22,9 @@
 // Checkpoints are sequential-engine-only and pause while a budget is
 // degraded (coarse state is monotone and address-granular; re-charging
 // it under a fresh budget would double-degrade).  Provisional reports
-// come from either engine: the sequential builder deep-clones, the
-// sharded engine flushes its pipeline and snapshots.
+// come from either engine, and both are a ddg.Builder clone: the
+// sequential builder clones itself, the sharded engine flushes its
+// pipeline and clones the merge of its shards (Snapshot).
 package core
 
 import (

@@ -25,7 +25,7 @@ func TestBundleLookupAllocs(t *testing.T) {
 	var n int64
 	feed := func(src *Instr, kind Kind) {
 		n++
-		b.addDep(src, []int64{n - 1}, dst, []int64{n}, kind)
+		b.AddDep(src, []int64{n - 1}, dst, []int64{n}, kind)
 	}
 	for round := 0; round < 20; round++ {
 		for _, s := range srcs {

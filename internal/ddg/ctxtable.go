@@ -4,6 +4,7 @@ import (
 	"polyprof/internal/fold"
 	"polyprof/internal/iiv"
 	"polyprof/internal/isa"
+	"polyprof/internal/obs"
 	"polyprof/internal/trace"
 )
 
@@ -12,12 +13,13 @@ import (
 // first-appearance order.  Per-context state lives in a slice indexed
 // by the context handle's per-run ID and is never rebuilt, so resolving
 // a vertex of a context already seen costs two slice indexings and no
-// hashing or allocation.  Both dependence engines intern through it,
-// which is what keeps their vertex IDs identical.
+// hashing or allocation.  Both dependence engines intern through it
+// (inside their Front), which is what keeps their vertex IDs identical.
 //
-// The zero value is ready to use and creates vertices without folders
-// (the sharded engine owns its folders); the sequential builder sets
-// newFolder.
+// Every vertex is created with its fold streams: a statement's domain
+// folder and an instruction's value and access folders, fed by whichever
+// Shard owns the stream.  The zero value is ready to use and creates
+// folders with default options.
 type ContextTable struct {
 	// Stmts and Instrs hold every vertex in ID order.
 	Stmts  []*Stmt
@@ -28,7 +30,10 @@ type ContextTable struct {
 	// them: IDs are per-run, keys are what checkpoints store.
 	pending map[string]*ctxVerts
 
-	newFolder func(dim, labelW int) *fold.Folder
+	// Folder options: the metrics scope and the stride-detection
+	// ablation (Options.Obs, Options.NoStrideDetection).
+	obs       obs.Scope
+	noStrides bool
 }
 
 // ctxVerts is one context's vertices, by block.  A context is a schedule
@@ -89,10 +94,7 @@ func (t *ContextTable) newBlock(ctx iiv.Ctx, blk isa.BlockID, depth int) *blockV
 			}
 		}
 	}
-	s := &Stmt{ID: len(t.Stmts), Block: blk, Ctx: ctx.Key, Depth: depth}
-	if t.newFolder != nil {
-		s.folder = t.newFolder(depth, 0)
-	}
+	s := &Stmt{ID: len(t.Stmts), Block: blk, Ctx: ctx.Key, Depth: depth, folder: t.newFolder(depth, 0)}
 	t.Stmts = append(t.Stmts, s)
 	bv := &blockVerts{stmt: s}
 	cv.blocks = append(cv.blocks, bv)
@@ -101,17 +103,25 @@ func (t *ContextTable) newBlock(ctx iiv.Ctx, blk isa.BlockID, depth int) *blockV
 
 func (t *ContextTable) newInstr(ctx string, ref trace.InstrRef, in *isa.Instr, bv *blockVerts) *Instr {
 	i := newInstr(len(t.Instrs), ref, ctx, in, bv.stmt)
-	if t.newFolder != nil {
-		if i.hasValue {
-			i.valueFolder = t.newFolder(i.Depth, 1)
-		}
-		if i.hasAccess {
-			i.accessFolder = t.newFolder(i.Depth, 1)
-		}
+	if i.hasValue {
+		i.valueFolder = t.newFolder(i.Depth, 1)
+	}
+	if i.hasAccess {
+		i.accessFolder = t.newFolder(i.Depth, 1)
 	}
 	t.Instrs = append(t.Instrs, i)
 	bv.setInstr(i)
 	return i
+}
+
+// newFolder creates one vertex fold stream.
+func (t *ContextTable) newFolder(dim, labelW int) *fold.Folder {
+	f := fold.NewFolder(dim, labelW)
+	f.Obs = t.obs
+	if t.noStrides {
+		f.DetectStrides = false
+	}
+	return f
 }
 
 func (bv *blockVerts) setInstr(i *Instr) {

@@ -102,8 +102,8 @@ func (i *Instr) HasValue() bool { return i.hasValue }
 func (i *Instr) HasAccess() bool { return i.hasAccess }
 
 // newInstr constructs an instruction vertex without folders, classifying
-// it as value-producing and/or memory-accessing.  Every engine's
-// vertices come from here (through ContextTable), which keeps
+// it as value-producing and/or memory-accessing.  Every vertex comes
+// from here, through ContextTable or a checkpoint restore, which keeps
 // HasValue/HasAccess — and therefore the fold-stream census and SCEV
 // candidacy — identical between engines.
 func newInstr(id int, ref trace.InstrRef, ctx string, in *isa.Instr, stmt *Stmt) *Instr {
@@ -240,26 +240,19 @@ type Graph struct {
 	FPOps    uint64
 }
 
-// Builder implements core.InstrSink, constructing a Graph during the
-// pass-2 run.
-type Builder struct {
+// Front is the order-sensitive side of dependence building: vertex
+// identity, dynamic counts and the register/frame mirror.  It must see
+// every event in program order; the sharded engine (internal/parddg)
+// runs it on its sequencing goroutine, the Builder inline.
+type Front struct {
 	prog *isa.Program
-	opts Options
+	vt   ContextTable
 
-	vt      ContextTable
-	in      []inbox // incoming bundles by destination instruction ID
-	allDeps []*Dep  // every bundle, in creation order
-
-	shadow   []writerRec // last writer per word
-	lastRead []writerRec // last reader per word
-	frames   []frame
-
+	frames      []frame
 	pendingArgs []writerRec
 	pendingDst  isa.Reg
 	pendingRet  writerRec
-
-	usesBuf []isa.Reg
-	lblBuf  []int64
+	usesBuf     []isa.Reg
 
 	totalOps, memOps, fpOps uint64
 
@@ -268,10 +261,252 @@ type Builder struct {
 	// integer arithmetic on call/return so the per-instruction path is
 	// untouched, published to the metrics registry in Finish.
 	curRegWords, peakRegWords int
+}
 
-	// coarse is non-nil once the shadow budget tripped; from then on
-	// the memory hot path routes through coarseEvent (degrade.go).
+// NewFront creates the order-sensitive side for one execution of prog;
+// its vertices' folders honor opts.
+func NewFront(prog *isa.Program, opts Options) *Front {
+	f := &Front{prog: prog}
+	f.vt.obs, f.vt.noStrides = opts.Obs, opts.NoStrideDetection
+	main := prog.Func(prog.Main)
+	f.frames = append(f.frames, frame{regw: make([]writerRec, main.NumRegs), retDst: isa.NoReg})
+	f.curRegWords = main.NumRegs
+	f.peakRegWords = f.curRegWords
+	return f
+}
+
+func (f *Front) curFrame() *frame { return &f.frames[len(f.frames)-1] }
+
+// OnControl implements core.InstrSink: it mirrors the call stack so
+// register dependencies flow through calls and returns.
+func (f *Front) OnControl(ev trace.ControlEvent) {
+	switch ev.Kind {
+	case trace.Call:
+		callee := f.prog.Func(ev.Callee)
+		fr := frame{regw: make([]writerRec, callee.NumRegs), retDst: f.pendingDst}
+		for i, w := range f.pendingArgs {
+			if i < len(fr.regw) {
+				fr.regw[i] = writerRec{instr: w.instr, coords: append([]int64(nil), w.coords...)}
+			}
+		}
+		f.frames = append(f.frames, fr)
+		f.curRegWords += len(fr.regw)
+		if f.curRegWords > f.peakRegWords {
+			f.peakRegWords = f.curRegWords
+		}
+	case trace.Return:
+		top := f.frames[len(f.frames)-1]
+		f.frames = f.frames[:len(f.frames)-1]
+		f.curRegWords -= len(top.regw)
+		if len(f.frames) > 0 && top.retDst != isa.NoReg && f.pendingRet.instr != nil {
+			f.curFrame().regw[top.retDst].set(f.pendingRet.instr, f.pendingRet.coords)
+		}
+		f.pendingRet = writerRec{}
+	}
+}
+
+// Enter counts one executed instruction and resolves its statement and
+// instruction vertices.
+func (f *Front) Enter(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *isa.Instr) (*Stmt, *Instr) {
+	f.totalOps++
+	if in.Op.IsFP() {
+		f.fpOps++
+	}
+	if ev.Addr >= 0 {
+		f.memOps++
+	}
+	stmt, instr := f.vt.Resolve(ctx, ev.Ref, in, len(coords))
+	if ev.Ref.Index == 0 {
+		stmt.Count++
+	}
+	instr.Count++
+	return stmt, instr
+}
+
+// Uses returns the registers in reads, in a buffer reused by the next
+// call.
+func (f *Front) Uses(in *isa.Instr) []isa.Reg {
+	f.usesBuf = in.Uses(f.usesBuf)
+	return f.usesBuf
+}
+
+// RegSource returns the producer of register r in the current frame and
+// its coordinates, or a nil instruction when none is known.  The
+// coordinates are the mirror's own, valid until r is next written.
+func (f *Front) RegSource(r isa.Reg) (*Instr, []int64) {
+	fr := f.curFrame()
+	if int(r) < len(fr.regw) {
+		w := &fr.regw[r]
+		return w.instr, w.coords
+	}
+	return nil, nil
+}
+
+// Retire updates the mirror after instr executed as in: the writer of
+// its destination register, and the call arguments or return value the
+// next control event links across frames.  Builder.OnInstr reads and
+// updates its frame in place, sharing only link: calling RegSource and
+// Retire per event cost it about 3% of fold-heavy throughput.
+func (f *Front) Retire(in *isa.Instr, instr *Instr, coords []int64) {
+	fr := f.curFrame()
+	if in.Op.WritesDst() && in.Dst != isa.NoReg && in.Op != isa.Call && int(in.Dst) < len(fr.regw) {
+		fr.regw[in.Dst].set(instr, coords)
+	}
+	if in.Op == isa.Call || in.Op == isa.Ret {
+		f.link(in, fr)
+	}
+}
+
+// link records the call arguments or return value of in, a Call or
+// Ret, for the control event that follows.
+func (f *Front) link(in *isa.Instr, fr *frame) {
+	if in.Op == isa.Call {
+		f.pendingArgs = f.pendingArgs[:0]
+		for _, a := range in.Args {
+			if int(a) < len(fr.regw) {
+				f.pendingArgs = append(f.pendingArgs, fr.regw[a])
+			} else {
+				f.pendingArgs = append(f.pendingArgs, writerRec{})
+			}
+		}
+		f.pendingDst = in.Dst
+		return
+	}
+	if in.A != isa.NoReg && int(in.A) < len(fr.regw) {
+		f.pendingRet = fr.regw[in.A]
+	} else {
+		f.pendingRet = writerRec{}
+	}
+}
+
+// Shard is the fold side of dependence building: the per-destination
+// bundle table, the coarse range summaries a tripped shadow budget
+// falls back to, and the label scratch of the vertex folders.  The
+// Builder embeds one; the sharded engine gives each worker its own,
+// every fold stream having exactly one owning shard, and Merge unions
+// them for the shared finish.
+type Shard struct {
+	opts    Options
+	in      []inbox // incoming bundles by destination instruction ID
+	allDeps []*Dep  // every bundle, in creation order
+
+	// coarse is non-nil once the shadow budget tripped (degrade.go).
 	coarse *coarseState
+
+	lblBuf []int64
+}
+
+// NewShard creates an empty fold side honoring opts.
+func NewShard(opts Options) *Shard { return &Shard{opts: opts} }
+
+// bundle returns the (src, dst, kind) dependence bundle.  A new bundle
+// is created empty and appended to allDeps; created tells the caller to
+// charge the edge budget and set it up.
+func (s *Shard) bundle(src, dst *Instr, kind Kind) (d *Dep, created bool) {
+	ib := s.inbox(dst)
+	if ib.last < len(ib.deps) {
+		if d := ib.deps[ib.last]; d.Src == src && d.Kind == kind {
+			return d, false
+		}
+	}
+	for i, d := range ib.deps {
+		if d.Src == src && d.Kind == kind {
+			ib.last = i
+			return d, false
+		}
+	}
+	d = &Dep{Src: src, Dst: dst, Kind: kind}
+	s.insert(d)
+	return d, true
+}
+
+func (s *Shard) inbox(dst *Instr) *inbox {
+	if n := dst.ID + 1; n > len(s.in) {
+		s.in = append(s.in, make([]inbox, n-len(s.in))...)
+	}
+	return &s.in[dst.ID]
+}
+
+// insert appends a bundle known to be new to the table.
+func (s *Shard) insert(d *Dep) {
+	ib := s.inbox(d.Dst)
+	ib.last = len(ib.deps)
+	ib.deps = append(ib.deps, d)
+	s.allDeps = append(s.allDeps, d)
+}
+
+// AddDep folds one dependence point: dst at dstCoords read what src
+// produced at srcCoords.
+func (s *Shard) AddDep(src *Instr, srcCoords []int64, dst *Instr, dstCoords []int64, kind Kind) {
+	d, created := s.bundle(src, dst, kind)
+	if created {
+		if s.opts.Budget.GrantEdges(1) {
+			mf := fold.NewMultiFolder(dst.Depth, src.Depth, fold.DefaultMaxPieces)
+			mf.Obs = s.opts.Obs
+			d.folder = mf
+		} else {
+			// Edge budget exhausted: keep the bundle (dropping it would
+			// be unsound) but only as a consumer bounding box.
+			d.Degraded = true
+			d.box = &coordBox{}
+		}
+	}
+	d.Count++
+	if d.folder != nil {
+		d.folder.Add(dstCoords, srcCoords)
+	} else {
+		d.box.extend(dstCoords)
+	}
+}
+
+// AddStmt folds one execution of st into its iteration domain.
+func (s *Shard) AddStmt(st *Stmt, coords []int64) { st.folder.Add(coords, nil) }
+
+// AddAccess folds one memory access of i into its access function.
+func (s *Shard) AddAccess(i *Instr, coords []int64, addr int64) {
+	s.lblBuf = append(s.lblBuf[:0], addr)
+	i.accessFolder.Add(coords, s.lblBuf)
+}
+
+// AddValue folds one produced integer value of i, for SCEV recognition.
+func (s *Shard) AddValue(i *Instr, coords []int64, v int64) {
+	s.lblBuf = append(s.lblBuf[:0], v)
+	i.valueFolder.Add(coords, s.lblBuf)
+}
+
+// Merge assembles a builder for the shared finish from the sharded
+// engine's parts: f's vertices and counts, and the union of the shards'
+// bundle tables and coarse range summaries.  Their keys are disjoint by
+// construction (each bundle and each coarse range has one owning
+// shard), so the union is a relabeling, not a conflict merge.  The
+// result has no shadow tables: only FinishChecked and Clone apply to it.
+func Merge(f *Front, shards []*Shard) *Builder {
+	b := &Builder{Front: *f, Shard: Shard{opts: shards[0].opts}}
+	for _, s := range shards {
+		for _, d := range s.allDeps {
+			b.insert(d)
+		}
+		if s.coarse != nil {
+			b.TripShadow()
+			b.coarse.events += s.coarse.events
+			for k, rg := range s.coarse.ranges {
+				b.coarse.ranges[k] = rg
+			}
+		}
+	}
+	return b
+}
+
+// Builder implements core.InstrSink, constructing a Graph during the
+// pass-2 run: a Front and a Shard driven inline, over exact shadow
+// memory.
+type Builder struct {
+	Front
+	Shard
+
+	shadow   []writerRec // last writer per word
+	lastRead []writerRec // last reader per word
+
 	// faultErr latches an error injected on a path that cannot return
 	// one; FinishChecked surfaces it.
 	faultErr error
@@ -290,20 +525,15 @@ type Builder struct {
 // NewBuilder creates a DDG builder for one execution of prog.
 func NewBuilder(prog *isa.Program, opts Options) *Builder {
 	b := &Builder{
-		prog:     prog,
-		opts:     opts,
+		Front:    *NewFront(prog, opts),
+		Shard:    Shard{opts: opts},
 		shadow:   make([]writerRec, prog.MemWords),
 		lastRead: make([]writerRec, prog.MemWords),
 	}
-	b.vt.newFolder = b.newFolder
-	main := prog.Func(prog.Main)
-	b.frames = append(b.frames, frame{regw: make([]writerRec, main.NumRegs), retDst: isa.NoReg})
-	b.curRegWords = main.NumRegs
-	b.peakRegWords = b.curRegWords
 	// Charge the fixed record tables up front; a budget too small for
 	// them degrades the whole address space from the first event.
 	if !opts.Budget.GrantShadow(baseShadowBytes(prog.MemWords)) {
-		b.tripShadow()
+		b.TripShadow()
 	}
 	if opts.Stream {
 		b.stale = map[int64]*coarseRange{}
@@ -312,117 +542,21 @@ func NewBuilder(prog *isa.Program, opts Options) *Builder {
 	return b
 }
 
-func (b *Builder) curFrame() *frame { return &b.frames[len(b.frames)-1] }
-
-// newFolder creates a stream folder honoring the builder options.
-func (b *Builder) newFolder(dim, labelW int) *fold.Folder {
-	f := fold.NewFolder(dim, labelW)
-	f.Obs = b.opts.Obs
-	if b.opts.NoStrideDetection {
-		f.DetectStrides = false
-	}
-	return f
-}
-
-// OnControl implements core.InstrSink: it mirrors the call stack so
-// register dependencies flow through calls and returns.
-func (b *Builder) OnControl(ev trace.ControlEvent) {
-	switch ev.Kind {
-	case trace.Call:
-		callee := b.prog.Func(ev.Callee)
-		f := frame{regw: make([]writerRec, callee.NumRegs), retDst: b.pendingDst}
-		for i, w := range b.pendingArgs {
-			if i < len(f.regw) {
-				f.regw[i] = writerRec{instr: w.instr, coords: append([]int64(nil), w.coords...)}
-			}
-		}
-		b.frames = append(b.frames, f)
-		b.curRegWords += len(f.regw)
-		if b.curRegWords > b.peakRegWords {
-			b.peakRegWords = b.curRegWords
-		}
-	case trace.Return:
-		top := b.frames[len(b.frames)-1]
-		b.frames = b.frames[:len(b.frames)-1]
-		b.curRegWords -= len(top.regw)
-		if len(b.frames) > 0 && top.retDst != isa.NoReg && b.pendingRet.instr != nil {
-			b.curFrame().regw[top.retDst].set(b.pendingRet.instr, b.pendingRet.coords)
-		}
-		b.pendingRet = writerRec{}
-	}
-}
-
-// bundle returns the (src, dst, kind) dependence bundle.  A new bundle
-// is created empty and appended to allDeps; created tells the caller to
-// charge the edge budget and set it up.
-func (b *Builder) bundle(src, dst *Instr, kind Kind) (d *Dep, created bool) {
-	if n := dst.ID + 1; n > len(b.in) {
-		b.in = append(b.in, make([]inbox, n-len(b.in))...)
-	}
-	ib := &b.in[dst.ID]
-	if ib.last < len(ib.deps) {
-		if d := ib.deps[ib.last]; d.Src == src && d.Kind == kind {
-			return d, false
-		}
-	}
-	for i, d := range ib.deps {
-		if d.Src == src && d.Kind == kind {
-			ib.last = i
-			return d, false
-		}
-	}
-	d = &Dep{Src: src, Dst: dst, Kind: kind}
-	ib.last = len(ib.deps)
-	ib.deps = append(ib.deps, d)
-	b.allDeps = append(b.allDeps, d)
-	return d, true
-}
-
-func (b *Builder) addDep(src *Instr, srcCoords []int64, dst *Instr, dstCoords []int64, kind Kind) {
-	d, created := b.bundle(src, dst, kind)
-	if created {
-		if b.opts.Budget.GrantEdges(1) {
-			mf := fold.NewMultiFolder(dst.Depth, src.Depth, fold.DefaultMaxPieces)
-			mf.Obs = b.opts.Obs
-			d.folder = mf
-		} else {
-			// Edge budget exhausted: keep the bundle (dropping it would
-			// be unsound) but only as a consumer bounding box.
-			d.Degraded = true
-			d.box = &coordBox{}
-		}
-	}
-	d.Count++
-	if d.folder != nil {
-		d.folder.Add(dstCoords, srcCoords)
-	} else {
-		d.box.extend(dstCoords)
-	}
-}
-
 // OnInstr implements core.InstrSink.
 func (b *Builder) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *isa.Instr) {
-	b.totalOps++
-	if in.Op.IsFP() {
-		b.fpOps++
-	}
-	stmt, instr := b.vt.Resolve(ctx, ev.Ref, in, len(coords))
+	stmt, instr := b.Enter(ctx, coords, ev, in)
 	if ev.Ref.Index == 0 {
-		stmt.Count++
-		stmt.folder.Add(coords, nil)
+		b.AddStmt(stmt, coords)
 	}
-	instr.Count++
-
 	fr := b.curFrame()
 
 	// Register flow dependencies: one edge per operand whose producer is
 	// known.
 	if b.opts.TrackReg {
-		b.usesBuf = in.Uses(b.usesBuf)
-		for _, r := range b.usesBuf {
+		for _, r := range b.Uses(in) {
 			if int(r) < len(fr.regw) {
 				if w := &fr.regw[r]; w.instr != nil {
-					b.addDep(w.instr, w.coords, instr, coords, FlowReg)
+					b.AddDep(w.instr, w.coords, instr, coords, FlowReg)
 				}
 			}
 		}
@@ -433,9 +567,7 @@ func (b *Builder) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *
 	// then the only extra cost over unbudgeted tracking is a grant call
 	// on each address's first touch.
 	if ev.Addr >= 0 {
-		b.memOps++
-		b.lblBuf = append(b.lblBuf[:0], ev.Addr)
-		instr.accessFolder.Add(coords, b.lblBuf)
+		b.AddAccess(instr, coords, ev.Addr)
 		if b.coarse != nil {
 			b.coarseEvent(instr, coords, ev.Addr, in.Op.IsMemWrite())
 		} else if in.Op.IsMemWrite() {
@@ -445,12 +577,12 @@ func (b *Builder) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *
 				b.coarseEvent(instr, coords, ev.Addr, true)
 			} else {
 				if !wasNew && b.opts.TrackOutput {
-					b.addDep(w.instr, w.coords, instr, coords, Output)
+					b.AddDep(w.instr, w.coords, instr, coords, Output)
 				}
 				r := &b.lastRead[ev.Addr]
 				haveReader := r.instr != nil
 				if haveReader && b.opts.TrackAnti {
-					b.addDep(r.instr, r.coords, instr, coords, Anti)
+					b.AddDep(r.instr, r.coords, instr, coords, Anti)
 				}
 				w.set(instr, coords)
 				if wasNew {
@@ -470,7 +602,7 @@ func (b *Builder) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *
 				w := &b.shadow[ev.Addr]
 				haveWriter := w.instr != nil
 				if haveWriter {
-					b.addDep(w.instr, w.coords, instr, coords, FlowMem)
+					b.AddDep(w.instr, w.coords, instr, coords, FlowMem)
 				}
 				r.set(instr, coords)
 				if wasNew {
@@ -484,36 +616,18 @@ func (b *Builder) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *
 		}
 	}
 
-	// Record produced values (for SCEV recognition) and the register
-	// writer table.
+	// Record produced values (for SCEV recognition), then the register
+	// writer table and call/return linkage.
 	if in.Op.WritesDst() && in.Dst != isa.NoReg && in.Op != isa.Call {
 		if instr.valueFolder != nil {
-			b.lblBuf = append(b.lblBuf[:0], ev.Value)
-			instr.valueFolder.Add(coords, b.lblBuf)
+			b.AddValue(instr, coords, ev.Value)
 		}
 		if int(in.Dst) < len(fr.regw) {
 			fr.regw[in.Dst].set(instr, coords)
 		}
 	}
-
-	// Call/return linkage for the frame mirror.
-	switch in.Op {
-	case isa.Call:
-		b.pendingArgs = b.pendingArgs[:0]
-		for _, a := range in.Args {
-			if int(a) < len(fr.regw) {
-				b.pendingArgs = append(b.pendingArgs, fr.regw[a])
-			} else {
-				b.pendingArgs = append(b.pendingArgs, writerRec{})
-			}
-		}
-		b.pendingDst = in.Dst
-	case isa.Ret:
-		if in.A != isa.NoReg && int(in.A) < len(fr.regw) {
-			b.pendingRet = fr.regw[in.A]
-		} else {
-			b.pendingRet = writerRec{}
-		}
+	if in.Op == isa.Call || in.Op == isa.Ret {
+		b.link(in, fr)
 	}
 }
 
@@ -624,7 +738,7 @@ func (b *Builder) publishMetrics(g *Graph) {
 		return
 	}
 	// Two writer records per program word: last writer + last reader.
-	sc.MaxGauge("ddg.shadow.words", int64(len(b.shadow)+len(b.lastRead)))
+	sc.MaxGauge("ddg.shadow.words", 2*b.prog.MemWords)
 	sc.MaxGauge("ddg.regtable.peak_words", int64(b.peakRegWords))
 	sc.Add("ddg.stmts", uint64(len(g.Stmts)))
 	sc.Add("ddg.instrs", uint64(len(g.Instrs)))

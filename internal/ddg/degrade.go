@@ -36,8 +36,8 @@ const coarseRangeShift = 8
 // CoarseRangeShift exposes the coarse-range granularity so the sharded
 // engine (internal/parddg) can partition addresses on range boundaries:
 // a whole 2^CoarseRangeShift-word range always lands on one shard, which
-// keeps shard-local coarse summaries globally disjoint and lets the
-// merge pair them exactly like the sequential finishCoarse.
+// keeps shard-local coarse summaries globally disjoint, so Merge can
+// union them for the one finishCoarse.
 const CoarseRangeShift = coarseRangeShift
 
 // ShadowRecBytes is the budget cost of one live shadow record with
@@ -153,12 +153,15 @@ type DegradedRegion struct {
 	Globals []string `json:"globals,omitempty"`
 }
 
-// tripShadow switches the builder into coarse mode (idempotent).
-func (b *Builder) tripShadow() {
-	if b.coarse == nil {
-		b.coarse = &coarseState{ranges: map[int64]*coarseRange{}}
+// TripShadow switches the shard into coarse mode (idempotent).
+func (s *Shard) TripShadow() {
+	if s.coarse == nil {
+		s.coarse = &coarseState{ranges: map[int64]*coarseRange{}}
 	}
 }
+
+// ShadowTripped reports whether the shard is in coarse mode.
+func (s *Shard) ShadowTripped() bool { return s.coarse != nil }
 
 // grantRec asks the budget for one more live record; a denial flips
 // the builder into coarse mode.  The fault point lets chaos tests
@@ -176,20 +179,27 @@ func (b *Builder) grantRec(dim int) bool {
 	if b.opts.Budget.GrantShadow(recBytes(dim)) {
 		return true
 	}
-	b.tripShadow()
+	b.TripShadow()
 	return false
 }
 
-// noteCoarse records one denied-counterpart event in its range
-// summary.
-func (b *Builder) noteCoarse(addr int64, instr *Instr, coords []int64, write bool) {
-	b.tripShadow()
-	b.coarse.events++
+// NoteCoarse records one denied-counterpart event in its range
+// summary, tripping the shard into coarse mode.
+func (s *Shard) NoteCoarse(addr int64, instr *Instr, coords []int64, write bool) {
+	s.TripShadow()
+	s.coarse.events++
+	noteRange(s.coarse.ranges, addr, instr, coords, write)
+}
+
+// noteRange extends instr's writer or reader box in the summary of
+// addr's range, creating either on first sight.  Coarse degradation
+// and streaming release share it.
+func noteRange(ranges map[int64]*coarseRange, addr int64, instr *Instr, coords []int64, write bool) {
 	key := addr >> coarseRangeShift
-	rg := b.coarse.ranges[key]
+	rg := ranges[key]
 	if rg == nil {
 		rg = &coarseRange{writers: map[*Instr]*coordBox{}, readers: map[*Instr]*coordBox{}}
-		b.coarse.ranges[key] = rg
+		ranges[key] = rg
 	}
 	tab := rg.readers
 	if write {
@@ -214,7 +224,7 @@ func (b *Builder) coarseEvent(instr *Instr, coords []int64, addr int64, write bo
 	if write {
 		if w.instr != nil {
 			if b.opts.TrackOutput {
-				b.addDep(w.instr, w.coords, instr, coords, Output)
+				b.AddDep(w.instr, w.coords, instr, coords, Output)
 			}
 			w.set(instr, coords)
 		} else {
@@ -224,14 +234,14 @@ func (b *Builder) coarseEvent(instr *Instr, coords []int64, addr int64, write bo
 		}
 		if r.instr != nil {
 			if b.opts.TrackAnti {
-				b.addDep(r.instr, r.coords, instr, coords, Anti)
+				b.AddDep(r.instr, r.coords, instr, coords, Anti)
 			}
 		} else if b.opts.TrackAnti {
 			note = true
 		}
 	} else {
 		if w.instr != nil {
-			b.addDep(w.instr, w.coords, instr, coords, FlowMem)
+			b.AddDep(w.instr, w.coords, instr, coords, FlowMem)
 		} else {
 			note = true
 		}
@@ -242,7 +252,7 @@ func (b *Builder) coarseEvent(instr *Instr, coords []int64, addr int64, write bo
 		}
 	}
 	if note {
-		b.noteCoarse(addr, instr, coords, write)
+		b.NoteCoarse(addr, instr, coords, write)
 	}
 }
 

@@ -44,13 +44,15 @@ func (b *Builder) Clone() *Builder {
 	opts.Budget = nil
 	opts.Obs = obs.NewRegistry().Scope()
 	c := &Builder{
-		prog:          b.prog,
-		opts:          opts,
-		totalOps:      b.totalOps,
-		memOps:        b.memOps,
-		fpOps:         b.fpOps,
-		curRegWords:   b.curRegWords,
-		peakRegWords:  b.peakRegWords,
+		Front: Front{
+			prog:         b.prog,
+			totalOps:     b.totalOps,
+			memOps:       b.memOps,
+			fpOps:        b.fpOps,
+			curRegWords:  b.curRegWords,
+			peakRegWords: b.peakRegWords,
+		},
+		Shard:         Shard{opts: opts},
 		epochN:        b.epochN,
 		releasedBytes: b.releasedBytes,
 		faultErr:      b.faultErr,
@@ -58,11 +60,8 @@ func (b *Builder) Clone() *Builder {
 	}
 	sm := make(map[*Stmt]*Stmt, len(b.vt.Stmts))
 	for _, s := range b.vt.Stmts {
-		cs := &Stmt{ID: s.ID, Block: s.Block, Ctx: s.Ctx, Depth: s.Depth, Count: s.Count}
-		if s.folder != nil {
-			cs.folder = s.folder.Clone()
-			cs.folder.Obs = opts.Obs
-		}
+		cs := &Stmt{ID: s.ID, Block: s.Block, Ctx: s.Ctx, Depth: s.Depth, Count: s.Count, folder: s.folder.Clone()}
+		cs.folder.Obs = opts.Obs
 		sm[s] = cs
 		c.vt.Stmts = append(c.vt.Stmts, cs)
 	}
@@ -182,26 +181,6 @@ func (b *Builder) addStaleDep(src, dst *Instr, kind Kind, dstCoords []int64) {
 	d.box.extend(dstCoords)
 }
 
-// staleAdd folds one released record into its range summary.
-func (b *Builder) staleAdd(addr int64, instr *Instr, coords []int64, write bool) {
-	key := addr >> coarseRangeShift
-	rg := b.stale[key]
-	if rg == nil {
-		rg = &coarseRange{writers: map[*Instr]*coordBox{}, readers: map[*Instr]*coordBox{}}
-		b.stale[key] = rg
-	}
-	tab := rg.readers
-	if write {
-		tab = rg.writers
-	}
-	box := tab[instr]
-	if box == nil {
-		box = &coordBox{}
-		tab[instr] = box
-	}
-	box.extend(coords)
-}
-
 // ReleaseEpoch closes one epoch in streaming mode: every shadow record
 // not touched during the closing epoch folds into its stale summary and
 // returns its bytes to the budget; records touched this epoch survive
@@ -218,7 +197,7 @@ func (b *Builder) ReleaseEpoch() uint64 {
 			if rec.instr == nil || rec.seen >= b.epochN {
 				continue
 			}
-			b.staleAdd(int64(a), rec.instr, rec.coords, write)
+			noteRange(b.stale, int64(a), rec.instr, rec.coords, write)
 			freed += rec.grant
 			*rec = writerRec{}
 		}
@@ -562,7 +541,7 @@ func RestoreBuilder(prog *isa.Program, opts Options, s *BuilderState) (*Builder,
 				grant = recBytes(len(rs.Coords))
 			}
 			if !opts.Budget.GrantShadow(grant) {
-				b.tripShadow()
+				b.TripShadow()
 			}
 			dst[rs.Addr] = writerRec{instr: i, coords: append([]int64(nil), rs.Coords...),
 				seen: b.epochN, grant: grant}

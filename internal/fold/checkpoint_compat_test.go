@@ -74,6 +74,8 @@ func TestRestoreFitterRejectsMalformed(t *testing.T) {
 		"zero pivot":      {M: 1, Rows: [][]string{row("1", "0", "2")}, Pivot: []int{1}},
 		"too many rows":   {M: 1, Rows: [][]string{row("0", "1", "2"), row("1", "0", "2")}, Pivot: []int{1, 0}},
 		"pivots mismatch": {M: 2, Rows: [][]string{row("0", "0", "1", "2")}, Pivot: []int{2, 0}},
+		"not reduced":     {M: 2, Rows: [][]string{row("0", "1", "1", "3"), row("1", "0", "1", "2")}, Pivot: []int{2, 0}},
+		"repeated pivot":  {M: 2, Rows: [][]string{row("0", "1", "0", "3"), row("1", "2", "0", "2")}, Pivot: []int{1, 1}},
 	} {
 		if _, err := RestoreFitter(s); err == nil {
 			t.Errorf("%s: restored without error", name)

@@ -199,6 +199,16 @@ func RestoreFitter(s FitterState) (*Fitter, error) {
 			fits = fits && v.IsInt64() && v.Int64() != math.MinInt64
 		}
 	}
+	// Elimination and the complement screen both assume reduced
+	// row-echelon form: each row is zero in every other row's pivot
+	// column.  A repeated pivot fails the same test.
+	for i, p := range s.Pivot {
+		for k := range s.Pivot {
+			if k != i && wide[k][p].Sign() != 0 {
+				return nil, fmt.Errorf("fold: fitter state row %d is nonzero in row %d's pivot column %d", k, i, p)
+			}
+		}
+	}
 	f.pivot = append(make([]int, 0, s.M+1), s.Pivot...)
 	if !fits {
 		f.wide = wide

@@ -7,34 +7,44 @@
 // counts, the register/frame mirror) stays on the sequencing
 // goroutine.
 //
+// The engine folds through the sequential builder's own kernel: the
+// sequencer drives a ddg.Front (vertex interning, dynamic counts, the
+// register/frame mirror), each worker owns a ddg.Shard (bundle table,
+// coarse summaries, point folding into the vertices' folders), and
+// FinishChecked merges the shards into one builder and runs its
+// finish.  What is left here is sequencing, address-partitioned shadow
+// resolution, routing points to their owners, and the merge.
+//
 // The engine's contract is bit-for-bit equivalence with the sequential
 // builder on non-degraded runs: the folded graph it returns — IDs,
 // counts, domains, pieces, dependence order — is byte-identical in the
 // report JSON.  The equivalence argument rests on three invariants:
 //
 //  1. Identity is sequential.  Stmt/Instr IDs are assigned on the
-//     sequencing goroutine in first-appearance order, exactly like the
-//     sequential builder.
-//  2. Streams have exactly one owner.  Every fold stream (statement
-//     domain, value, access, dependence bundle) is consumed by exactly
-//     one shard worker, chosen by a deterministic hash of the stream's
-//     identity, and every worker scans batches in dispatch order — so
+//     sequencing goroutine in first-appearance order by the Front, as
+//     in the sequential builder.
+//  2. Streams have exactly one owner.  Every fold stream is consumed by
+//     exactly one shard worker: a statement domain by shard Stmt.ID%N,
+//     an instruction's value and access streams by shard Instr.ID%N,
+//     a dependence bundle by the hash of (src, dst, kind) in
+//     ownerOfDep.  Every worker scans batches in dispatch order, so
 //     each stream sees its points in the global sequential order, which
 //     is what the folder's greedy run recognition is sensitive to.
 //  3. Shadow state is partitioned.  Each worker owns a disjoint
-//     address slice of the last-writer/prev-writer/last-reader tables
-//     (partitioned on coarse-range boundaries so a degraded range never
-//     spans shards), and resolves dependence sources for its addresses
-//     in stage 1 of each batch; a per-batch barrier then lets every
+//     address slice of the last-writer/last-reader tables (partitioned
+//     on coarse-range boundaries so a degraded range never spans
+//     shards), and resolves dependence sources for its addresses in
+//     stage 1 of each batch; a per-batch barrier then lets every
 //     worker fold the sources the others resolved.
 //
-// At Finish, shard-local results merge deterministically (dependences
-// sort by (src, dst, kind), like the sequential builder), so the same
-// report falls out regardless of N.  Degraded runs (shadow/edge budget
-// exhaustion) are the one exemption from bit-identity — grant ordering
-// is racy by nature — but degradation stays shard-local and the union
-// of coarse regions remains a superset of the exact dependences, the
-// same soundness direction the sequential builder guarantees.
+// At Finish the shards' bundle tables and coarse range maps are
+// disjoint by construction and union into one, and the sequential
+// finish runs once, so the same report falls out regardless of N.
+// Degraded runs (shadow/edge budget exhaustion) are the one exemption
+// from bit-identity — grant ordering is racy by nature — but
+// degradation stays shard-local and the union of coarse regions
+// remains a superset of the exact dependences, the same soundness
+// direction the sequential builder guarantees.
 package parddg
 
 import (
@@ -87,9 +97,9 @@ type Options struct {
 // enabled.
 const pollInterval = 250 * time.Microsecond
 
-// rec mirrors the sequential builder's writer record: the producing
-// instruction and its retained iteration coordinates.  set reuses the
-// coordinate memory, which is why batch events carry copies.
+// rec is one shadow-memory record: the producing instruction and its
+// retained iteration coordinates.  set reuses the coordinate memory,
+// which is why batch events carry copies.
 type rec struct {
 	instr  *ddg.Instr
 	coords []int64
@@ -98,16 +108,6 @@ type rec struct {
 func (r *rec) set(instr *ddg.Instr, coords []int64) {
 	r.instr = instr
 	r.coords = append(r.coords[:0], coords...)
-}
-
-type frame struct {
-	regw   []rec
-	retDst isa.Reg
-}
-
-type depKey struct {
-	src, dst int
-	kind     ddg.Kind
 }
 
 // event is one instruction event as the shard workers see it.  coords
@@ -163,23 +163,12 @@ type batch struct {
 // from one goroutine (the pass-2 VM goroutine), like the sequential
 // builder.
 type Engine struct {
-	prog *isa.Program
 	opts ddg.Options
 	n    int
 
-	// Interning state (sequencer-owned): the sequential builder's own
-	// context table, so vertex IDs are identical by construction.
-	vt ddg.ContextTable
-
-	// Register/frame mirror (sequencer-owned).
-	frames      []frame
-	pendingArgs []rec
-	pendingDst  isa.Reg
-	pendingRet  rec
-	usesBuf     []isa.Reg
-
-	totalOps, memOps, fpOps   uint64
-	curRegWords, peakRegWords int
+	// front is the sequencer-owned order-sensitive side, the sequential
+	// builder's own, so vertex IDs are identical by construction.
+	front *ddg.Front
 
 	// Shared shadow tables, index-partitioned across workers by
 	// shardOf; no two workers ever touch the same element.
@@ -223,17 +212,13 @@ func NewEngine(prog *isa.Program, opt Options) *Engine {
 		n = 1
 	}
 	e := &Engine{
-		prog:     prog,
 		opts:     opt.DDG,
 		n:        n,
+		front:    ddg.NewFront(prog, opt.DDG),
 		shadow:   make([]rec, prog.MemWords),
 		lastRead: make([]rec, prog.MemWords),
 		free:     make(chan *batch, maxInflight),
 	}
-	main := prog.Func(prog.Main)
-	e.frames = append(e.frames, frame{regw: make([]rec, main.NumRegs), retDst: isa.NoReg})
-	e.curRegWords = main.NumRegs
-	e.peakRegWords = e.curRegWords
 	// Charge the fixed record tables up front, exactly like the
 	// sequential builder; a denial degrades every shard from the start.
 	if !e.opts.Budget.GrantShadow(ddg.BaseShadowBytes(prog.MemWords)) {
@@ -339,35 +324,9 @@ func (e *Engine) failure() error {
 	return e.failErr
 }
 
-func (e *Engine) curFrame() *frame { return &e.frames[len(e.frames)-1] }
-
-// OnControl implements core.InstrSink: the register/frame mirror,
-// identical to the sequential builder's.
-func (e *Engine) OnControl(ev trace.ControlEvent) {
-	switch ev.Kind {
-	case trace.Call:
-		callee := e.prog.Func(ev.Callee)
-		f := frame{regw: make([]rec, callee.NumRegs), retDst: e.pendingDst}
-		for i, w := range e.pendingArgs {
-			if i < len(f.regw) {
-				f.regw[i] = rec{instr: w.instr, coords: append([]int64(nil), w.coords...)}
-			}
-		}
-		e.frames = append(e.frames, f)
-		e.curRegWords += len(f.regw)
-		if e.curRegWords > e.peakRegWords {
-			e.peakRegWords = e.curRegWords
-		}
-	case trace.Return:
-		top := e.frames[len(e.frames)-1]
-		e.frames = e.frames[:len(e.frames)-1]
-		e.curRegWords -= len(top.regw)
-		if len(e.frames) > 0 && top.retDst != isa.NoReg && e.pendingRet.instr != nil {
-			e.curFrame().regw[top.retDst].set(e.pendingRet.instr, e.pendingRet.coords)
-		}
-		e.pendingRet = rec{}
-	}
-}
+// OnControl implements core.InstrSink: the Front's register/frame
+// mirror.
+func (e *Engine) OnControl(ev trace.ControlEvent) { e.front.OnControl(ev) }
 
 // ctxCoords copies the current context coordinates into the current
 // batch's arena; every event of the run shares the copy.
@@ -404,74 +363,36 @@ func (e *Engine) OnInstr(ctx iiv.Ctx, coords []int64, ev trace.InstrEvent, in *i
 // use for the next event of the same run (nil after a dispatch, so the
 // caller re-copies into the fresh batch).
 func (e *Engine) addEvent(ctx iiv.Ctx, cc []int64, ev trace.InstrEvent, in *isa.Instr) []int64 {
-	e.totalOps++
-	if in.Op.IsFP() {
-		e.fpOps++
-	}
-	stmt, instr := e.vt.Resolve(ctx, ev.Ref, in, len(cc))
-	if ev.Ref.Index == 0 {
-		stmt.Count++
-	}
-	instr.Count++
-
+	_, instr := e.front.Enter(ctx, cc, ev, in)
 	b := e.cur
 	evIdx := int32(len(b.events))
-	fr := e.curFrame()
 
 	// Register flow points: resolved here (the register mirror is
 	// sequencer state), folded by the owning worker.  Source coords are
 	// copied into the arena because a later event in this same batch
 	// may overwrite the producer's record before the worker reads it.
 	if e.opts.TrackReg {
-		e.usesBuf = in.Uses(e.usesBuf)
-		for _, r := range e.usesBuf {
-			if int(r) < len(fr.regw) {
-				if w := &fr.regw[r]; w.instr != nil {
-					off := len(b.coords)
-					b.coords = append(b.coords, w.coords...)
-					b.regPts = append(b.regPts, regPoint{ev: evIdx, src: w.instr, srcCoords: b.coords[off:]})
-				}
+		for _, r := range e.front.Uses(in) {
+			if src, srcCoords := e.front.RegSource(r); src != nil {
+				off := len(b.coords)
+				b.coords = append(b.coords, srcCoords...)
+				b.regPts = append(b.regPts, regPoint{ev: evIdx, src: src, srcCoords: b.coords[off:]})
 			}
 		}
 	}
 
 	be := event{instr: instr, coords: cc, addr: -1, memIdx: -1}
 	if ev.Addr >= 0 {
-		e.memOps++
 		be.addr = ev.Addr
 		be.isWrite = in.Op.IsMemWrite()
 		be.memIdx = int32(b.memN)
 		b.memN++
 	}
-
-	if in.Op.WritesDst() && in.Dst != isa.NoReg && in.Op != isa.Call {
-		if instr.HasValue() {
-			be.needValue = true
-			be.value = ev.Value
-		}
-		if int(in.Dst) < len(fr.regw) {
-			fr.regw[in.Dst].set(instr, cc)
-		}
+	if in.Op.WritesDst() && in.Dst != isa.NoReg && in.Op != isa.Call && instr.HasValue() {
+		be.needValue = true
+		be.value = ev.Value
 	}
-
-	switch in.Op {
-	case isa.Call:
-		e.pendingArgs = e.pendingArgs[:0]
-		for _, a := range in.Args {
-			if int(a) < len(fr.regw) {
-				e.pendingArgs = append(e.pendingArgs, fr.regw[a])
-			} else {
-				e.pendingArgs = append(e.pendingArgs, rec{})
-			}
-		}
-		e.pendingDst = in.Dst
-	case isa.Ret:
-		if in.A != isa.NoReg && int(in.A) < len(fr.regw) {
-			e.pendingRet = fr.regw[in.A]
-		} else {
-			e.pendingRet = rec{}
-		}
-	}
+	e.front.Retire(in, instr, cc)
 
 	b.events = append(b.events, be)
 	if len(b.events) >= batchSize {

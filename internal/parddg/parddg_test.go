@@ -3,6 +3,7 @@ package parddg_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -28,8 +29,9 @@ func buildWorkload(t testing.TB, name string) *isa.Program {
 
 // runGraph profiles prog through pass 2 with either the sequential
 // builder (shards == 0) or the sharded engine, under an optional
-// budget, and returns the finished graph.
-func runGraph(t testing.TB, prog *isa.Program, shards int, limits budget.Limits) (*ddg.Graph, error) {
+// budget, and returns the finished graph.  Pass 2 and the engine
+// publish into reg, or into the default registry when reg is nil.
+func runGraph(t testing.TB, prog *isa.Program, shards int, limits budget.Limits, reg *obs.Registry) (*ddg.Graph, error) {
 	t.Helper()
 	st, err := core.AnalyzeStructure(prog, nil)
 	if err != nil {
@@ -38,6 +40,9 @@ func runGraph(t testing.TB, prog *isa.Program, shards int, limits budget.Limits)
 	bud := budget.New(context.Background(), limits)
 	opts := ddg.DefaultOptions()
 	opts.Budget = bud
+	if reg != nil {
+		opts.Obs = reg.Scope()
+	}
 	var sink core.InstrSink
 	var fin interface {
 		FinishChecked() (*ddg.Graph, error)
@@ -60,7 +65,7 @@ func runGraph(t testing.TB, prog *isa.Program, shards int, limits budget.Limits)
 				err = fmt.Errorf("contained panic: %v", r)
 			}
 		}()
-		if _, _, err := core.RunPass2Scoped(prog, st, sink, nil, obs.Scope{}, bud); err != nil {
+		if _, _, err := core.RunPass2Scoped(prog, st, sink, nil, opts.Obs, bud); err != nil {
 			return err
 		}
 		g, err = fin.FinishChecked()
@@ -94,7 +99,7 @@ func depSet(g *ddg.Graph) map[string]*ddg.Dep {
 func TestEngineConcurrentRuns(t *testing.T) {
 	defer fold.SetOwnershipChecks(fold.SetOwnershipChecks(true))
 	prog := buildWorkload(t, "backprop")
-	want, err := runGraph(t, prog, 0, budget.Limits{})
+	want, err := runGraph(t, prog, 0, budget.Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +117,7 @@ func TestEngineConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			graphs[i], errs[i] = runGraph(t, prog, 4, budget.Limits{})
+			graphs[i], errs[i] = runGraph(t, prog, 4, budget.Limits{}, nil)
 		}()
 	}
 	wg.Wait()
@@ -152,11 +157,11 @@ func TestFaultPointsFailCleanly(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer faultinject.DisarmAll()
-				if _, err := runGraph(t, prog, 2, budget.Limits{}); err == nil {
+				if _, err := runGraph(t, prog, 2, budget.Limits{}, nil); err == nil {
 					t.Fatalf("injected %s at %s: run succeeded, want error", mode, point)
 				}
 				// The engine must be fully reusable afterwards.
-				if _, err := runGraph(t, prog, 2, budget.Limits{}); err != nil {
+				if _, err := runGraph(t, prog, 2, budget.Limits{}, nil); err != nil {
 					t.Fatalf("clean run after %s fault: %v", point, err)
 				}
 			})
@@ -174,7 +179,7 @@ func TestShardInsertBudgetDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faultinject.DisarmAll()
-	g, err := runGraph(t, prog, 4, budget.Limits{})
+	g, err := runGraph(t, prog, 4, budget.Limits{}, nil)
 	if err != nil {
 		t.Fatalf("budget fault must degrade, not fail: %v", err)
 	}
@@ -190,7 +195,7 @@ func TestShardInsertBudgetDegrades(t *testing.T) {
 // coarse over-approximations, never invent exact ones).
 func TestDegradationSuperset(t *testing.T) {
 	prog := buildWorkload(t, "nn")
-	exact, err := runGraph(t, prog, 4, budget.Limits{})
+	exact, err := runGraph(t, prog, 4, budget.Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +204,7 @@ func TestDegradationSuperset(t *testing.T) {
 	}
 	exactDeps := depSet(exact)
 
-	deg, err := runGraph(t, prog, 4, budget.Limits{MaxShadowBytes: 4096})
+	deg, err := runGraph(t, prog, 4, budget.Limits{MaxShadowBytes: 4096}, nil)
 	if err != nil {
 		t.Fatalf("degrading limits must not fail the run: %v", err)
 	}
@@ -226,5 +231,57 @@ func TestDegradationSuperset(t *testing.T) {
 		if r.Lo > r.Hi {
 			t.Fatalf("coarse region [%d, %d] inverted", r.Lo, r.Hi)
 		}
+	}
+}
+
+// TestEngineMetricsParity: a sharded run publishes the sequential
+// builder's counters and gauges, value for value — every ddg.* and
+// fold.* one included — because both fold through the same kernel and
+// finish; only the shard-level ddg.shard.* and parddg.* metrics are
+// the engine's own.
+func TestEngineMetricsParity(t *testing.T) {
+	for _, name := range []string{"srad_v2", "backprop", "cfd", "hotspot"} {
+		t.Run(name, func(t *testing.T) {
+			prog := buildWorkload(t, name)
+			metrics := func(shards int) map[string]string {
+				reg := obs.NewRegistry()
+				reg.SetEnabled(true)
+				if _, err := runGraph(t, prog, shards, budget.Limits{}, reg); err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				out := map[string]string{}
+				own := func(name string) bool {
+					return strings.HasPrefix(name, "ddg.shard.") || strings.HasPrefix(name, "parddg.")
+				}
+				snap := reg.Snapshot()
+				for _, c := range snap.Counters {
+					if !own(c.Name) {
+						out["counter "+c.Name] = fmt.Sprint(c.Value)
+					}
+				}
+				for _, g := range snap.Gauges {
+					if !own(g.Name) {
+						out["gauge "+g.Name] = fmt.Sprint(g.Value)
+					}
+				}
+				return out
+			}
+			seq, par := metrics(0), metrics(4)
+			for _, want := range []string{"counter ddg.deps.folded", "counter ddg.deps.emitted", "counter ddg.events.instr", "counter ddg.events.mem"} {
+				if _, ok := seq[want]; !ok {
+					t.Errorf("sequential run published no %s", want)
+				}
+			}
+			for k, v := range seq {
+				if par[k] != v {
+					t.Errorf("%s: sequential %s, 4 shards %q", k, v, par[k])
+				}
+			}
+			for k, v := range par {
+				if _, ok := seq[k]; !ok {
+					t.Errorf("%s: published only by the sharded run (%s)", k, v)
+				}
+			}
+		})
 	}
 }

@@ -45,7 +45,7 @@ func runSampled(t testing.TB, shards int) (*ddg.Graph, *sampler.Report) {
 // bit-identical to the sequential builder's.
 func TestEngineSamplerReport(t *testing.T) {
 	const shards = 2
-	seqG, err := runGraph(t, buildWorkload(t, "example2"), 0, budget.Limits{})
+	seqG, err := runGraph(t, buildWorkload(t, "example2"), 0, budget.Limits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,39 +5,24 @@ import (
 
 	"polyprof/internal/budget"
 	"polyprof/internal/ddg"
-	"polyprof/internal/fold"
 	"polyprof/internal/obs"
 	"polyprof/internal/obs/sampler"
 )
 
-// depEntry pairs a dependence bundle with the folding state the
-// sequential builder keeps in unexported Dep fields.  Exactly one
-// worker owns each entry until the merge.
-type depEntry struct {
-	d      *ddg.Dep
-	folder *fold.MultiFolder
-	box    *coordBox
-}
-
 // worker is one shard: it owns a disjoint address slice of the shadow
-// tables (stage 1) and a disjoint set of fold streams (stage 2).
+// tables (stage 1) and a disjoint set of fold streams (stage 2), folded
+// through its own ddg.Shard.
 type worker struct {
 	e  *Engine
 	id int
 	ch chan *batch
 	sp *obs.Span
 
-	// coarse is the shard-local degradation state; non-nil once this
-	// shard's shadow budget tripped.  Range keys never collide across
-	// shards because shardOf partitions on coarse-range boundaries.
-	coarse *coarseState
-
-	stmtF map[*ddg.Stmt]*fold.Folder
-	valF  map[*ddg.Instr]*fold.Folder
-	accF  map[*ddg.Instr]*fold.Folder
-	deps  map[depKey]*depEntry
-
-	lblBuf []int64
+	// sh holds this worker's bundles and, once its shadow budget
+	// tripped, its coarse range summaries.  Range keys never collide
+	// across shards because shardOf partitions on coarse-range
+	// boundaries.
+	sh *ddg.Shard
 
 	memEvents uint64 // stage-1 memory events owned by this shard
 	points    uint64 // stage-2 fold points consumed by this shard
@@ -49,21 +34,18 @@ type worker struct {
 
 func newWorker(e *Engine, id int) *worker {
 	w := &worker{
-		e:     e,
-		id:    id,
-		ch:    make(chan *batch, maxInflight),
-		stmtF: map[*ddg.Stmt]*fold.Folder{},
-		valF:  map[*ddg.Instr]*fold.Folder{},
-		accF:  map[*ddg.Instr]*fold.Folder{},
-		deps:  map[depKey]*depEntry{},
-		sp:    e.sc.StartSpan(fmt.Sprintf("ddg.shard.%d", id)),
+		e:  e,
+		id: id,
+		ch: make(chan *batch, maxInflight),
+		sh: ddg.NewShard(e.opts),
+		sp: e.sc.StartSpan(fmt.Sprintf("ddg.shard.%d", id)),
 	}
 	if e.smp != nil {
 		w.act = e.smp.Actor(fmt.Sprintf("shard-%d", id), sampler.RoleShard)
 		w.depthQ = e.smp.Queue(fmt.Sprintf("parddg.shard.%d.backlog", id))
 	}
 	if e.baseDenied {
-		w.trip()
+		w.sh.TripShadow()
 	}
 	return w
 }
@@ -124,7 +106,7 @@ func (w *worker) runStage1(b *batch) {
 		w.memEvents++
 		s0 := &b.slots[2*be.memIdx]
 		s1 := &b.slots[2*be.memIdx+1]
-		if w.coarse != nil {
+		if w.sh.ShadowTripped() {
 			arena = w.coarseEvent(be, s0, s1, arena)
 		} else if be.isWrite {
 			wr := &e.shadow[be.addr]
@@ -180,14 +162,8 @@ func (w *worker) grantRec(dim int) bool {
 	if w.e.opts.Budget.GrantShadow(ddg.ShadowRecBytes(dim)) {
 		return true
 	}
-	w.trip()
+	w.sh.TripShadow()
 	return false
-}
-
-func (w *worker) trip() {
-	if w.coarse == nil {
-		w.coarse = &coarseState{ranges: map[int64]*coarseRange{}}
-	}
 }
 
 // coarseEvent transcribes the sequential builder's degraded memory
@@ -227,30 +203,9 @@ func (w *worker) coarseEvent(be *event, s0, s1 *memSlot, arena []int64) []int64 
 		}
 	}
 	if note {
-		w.noteCoarse(be.addr, be.instr, be.coords, be.isWrite)
+		w.sh.NoteCoarse(be.addr, be.instr, be.coords, be.isWrite)
 	}
 	return arena
-}
-
-func (w *worker) noteCoarse(addr int64, instr *ddg.Instr, coords []int64, write bool) {
-	w.trip()
-	w.coarse.events++
-	key := addr >> ddg.CoarseRangeShift
-	rg := w.coarse.ranges[key]
-	if rg == nil {
-		rg = &coarseRange{writers: map[*ddg.Instr]*coordBox{}, readers: map[*ddg.Instr]*coordBox{}}
-		w.coarse.ranges[key] = rg
-	}
-	tab := rg.readers
-	if write {
-		tab = rg.writers
-	}
-	box := tab[instr]
-	if box == nil {
-		box = &coordBox{}
-		tab[instr] = box
-	}
-	box.extend(coords)
 }
 
 // runStage2 folds this worker's streams, scanning the whole batch in
@@ -264,14 +219,14 @@ func (w *worker) runStage2(b *batch) {
 			w.e.fail(panicErr(fmt.Sprintf("parddg shard %d stage 2", w.id), r))
 		}
 	}()
-	e := w.e
-	n := e.n
+	sh, n := w.sh, w.e.n
 	ri := 0
 	for i := range b.events {
 		be := &b.events[i]
+		owned := be.instr.ID%n == w.id
 		if be.instr.Ref.Index == 0 {
 			if s := be.instr.Stmt; s.ID%n == w.id {
-				w.stmtFolder(s).Add(be.coords, nil)
+				sh.AddStmt(s, be.coords)
 				w.points++
 			}
 		}
@@ -279,88 +234,26 @@ func (w *worker) runStage2(b *batch) {
 			rp := &b.regPts[ri]
 			ri++
 			if ownerOfDep(rp.src.ID, be.instr.ID, ddg.FlowReg, n) == w.id {
-				w.addDep(rp.src, rp.srcCoords, be.instr, be.coords, ddg.FlowReg)
+				sh.AddDep(rp.src, rp.srcCoords, be.instr, be.coords, ddg.FlowReg)
+				w.points++
 			}
 		}
 		if be.memIdx >= 0 {
-			if be.instr.ID%n == w.id {
-				w.lblBuf = append(w.lblBuf[:0], be.addr)
-				w.accFolder(be.instr).Add(be.coords, w.lblBuf)
+			if owned {
+				sh.AddAccess(be.instr, be.coords, be.addr)
 				w.points++
 			}
 			for s := 0; s < 2; s++ {
 				sl := &b.slots[2*int(be.memIdx)+s]
 				if sl.src != nil && ownerOfDep(sl.src.ID, be.instr.ID, sl.kind, n) == w.id {
-					w.addDep(sl.src, sl.srcCoords, be.instr, be.coords, sl.kind)
+					sh.AddDep(sl.src, sl.srcCoords, be.instr, be.coords, sl.kind)
+					w.points++
 				}
 			}
 		}
-		if be.needValue && be.instr.ID%n == w.id {
-			w.lblBuf = append(w.lblBuf[:0], be.value)
-			w.valFolder(be.instr).Add(be.coords, w.lblBuf)
+		if be.needValue && owned {
+			sh.AddValue(be.instr, be.coords, be.value)
 			w.points++
 		}
-	}
-}
-
-// newFolder matches the sequential builder's folder construction.
-func (w *worker) newFolder(dim, labelW int) *fold.Folder {
-	f := fold.NewFolder(dim, labelW)
-	f.Obs = w.e.opts.Obs
-	if w.e.opts.NoStrideDetection {
-		f.DetectStrides = false
-	}
-	return f
-}
-
-func (w *worker) stmtFolder(s *ddg.Stmt) *fold.Folder {
-	f := w.stmtF[s]
-	if f == nil {
-		f = w.newFolder(s.Depth, 0)
-		w.stmtF[s] = f
-	}
-	return f
-}
-
-func (w *worker) valFolder(i *ddg.Instr) *fold.Folder {
-	f := w.valF[i]
-	if f == nil {
-		f = w.newFolder(i.Depth, 1)
-		w.valF[i] = f
-	}
-	return f
-}
-
-func (w *worker) accFolder(i *ddg.Instr) *fold.Folder {
-	f := w.accF[i]
-	if f == nil {
-		f = w.newFolder(i.Depth, 1)
-		w.accF[i] = f
-	}
-	return f
-}
-
-// addDep mirrors the sequential builder's addDep.
-func (w *worker) addDep(src *ddg.Instr, srcCoords []int64, dst *ddg.Instr, dstCoords []int64, kind ddg.Kind) {
-	key := depKey{src: src.ID, dst: dst.ID, kind: kind}
-	de, ok := w.deps[key]
-	if !ok {
-		de = &depEntry{d: &ddg.Dep{Src: src, Dst: dst, Kind: kind}}
-		if w.e.opts.Budget.GrantEdges(1) {
-			mf := fold.NewMultiFolder(dst.Depth, src.Depth, fold.DefaultMaxPieces)
-			mf.Obs = w.e.opts.Obs
-			de.folder = mf
-		} else {
-			de.d.Degraded = true
-			de.box = &coordBox{}
-		}
-		w.deps[key] = de
-	}
-	de.d.Count++
-	w.points++
-	if de.folder != nil {
-		de.folder.Add(dstCoords, srcCoords)
-	} else {
-		de.box.extend(dstCoords)
 	}
 }

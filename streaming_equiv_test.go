@@ -3,51 +3,65 @@ package polyprof_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"testing"
 
 	"polyprof"
+	"polyprof/internal/feedback"
 	"polyprof/internal/fold"
 )
 
 // streamReportJSON profiles a workload in streaming mode (epochs of
 // epochEvents dynamic instructions) and renders the final report JSON.
-// It returns the report bytes and the number of epoch boundaries that
-// fired.
-func streamReportJSON(t *testing.T, name string, shards int, epochEvents uint64) ([]byte, int) {
+// It returns the report bytes and, one per epoch boundary that fired,
+// the provisional profile's report JSON.
+func streamReportJSON(t *testing.T, name string, shards int, epochEvents uint64) ([]byte, [][]byte) {
 	t.Helper()
 	prog, err := polyprof.Workload(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochs := 0
+	cm := polyprof.DefaultCostModel()
+	var provisionals [][]byte
 	rep, err := polyprof.ProfileWith(context.Background(), prog, polyprof.ProfileOptions{
 		ParallelDDG: shards,
 		EpochEvents: epochEvents,
 		OnEpoch: func(ep *polyprof.Epoch) error {
-			epochs++
 			if ep.Provisional == nil {
 				t.Errorf("%s: epoch %d has no provisional profile", name, ep.N)
+				provisionals = append(provisionals, nil)
+				return nil
 			}
+			prov, err := feedback.AnalyzeChecked(ep.Provisional)
+			if err != nil {
+				return fmt.Errorf("epoch %d provisional: %w", ep.N, err)
+			}
+			data, err := prov.JSON(&cm)
+			if err != nil {
+				return fmt.Errorf("epoch %d provisional: %w", ep.N, err)
+			}
+			provisionals = append(provisionals, data)
 			return nil
 		},
 	})
 	if err != nil {
 		t.Fatalf("%s shards=%d epochs=%d: %v", name, shards, epochEvents, err)
 	}
-	cm := polyprof.DefaultCostModel()
 	data, err := rep.JSON(&cm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, epochs
+	return data, provisionals
 }
 
 // TestStreamingEquivalence: a streaming run's FINAL report is
 // byte-for-byte identical to the buffered one — with the sequential
 // builder and with the sharded parallel engine.  Provisional folding
 // at every boundary must not perturb the live state (the clone carries
-// no budget and a detached registry).
+// no budget and a detached registry), and the sharded engine's
+// provisional report at every epoch is byte-identical to the
+// sequential builder's at the same epoch.
 //
 // The default run covers the fast workload subset; the dedicated CI
 // leg sets POLYPROF_STREAM_EXHAUSTIVE=1 to cover every bundled
@@ -84,9 +98,10 @@ func TestStreamingEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			epochEvents := exec.Stats.Ops/4 + 1
+			var seqProvisionals [][]byte
 			for _, shards := range []int{0, 8} {
-				got, epochs := streamReportJSON(t, name, shards, epochEvents)
-				totalEpochs += epochs
+				got, provisionals := streamReportJSON(t, name, shards, epochEvents)
+				totalEpochs += len(provisionals)
 				if !bytes.Equal(want, got) {
 					t.Errorf("shards=%d: streamed report differs from buffered (%d vs %d bytes)",
 						shards, len(got), len(want))
@@ -106,6 +121,19 @@ func TestStreamingEquivalence(t *testing.T) {
 						}
 					}
 					t.FailNow()
+				}
+				if shards == 0 {
+					seqProvisionals = provisionals
+					continue
+				}
+				if len(provisionals) != len(seqProvisionals) {
+					t.Fatalf("shards=%d: %d epochs, sequential run had %d", shards, len(provisionals), len(seqProvisionals))
+				}
+				for i, prov := range provisionals {
+					if !bytes.Equal(seqProvisionals[i], prov) {
+						t.Fatalf("shards=%d: epoch %d provisional report differs from sequential (%d vs %d bytes)",
+							shards, i+1, len(prov), len(seqProvisionals[i]))
+					}
 				}
 			}
 		})
